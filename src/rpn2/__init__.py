@@ -21,4 +21,4 @@ __all__ = [
     "transformation",
 ]
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"

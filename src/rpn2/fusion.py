@@ -1,10 +1,12 @@
 """Fusion functions combining relation matrices or head/channel outputs."""
 
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric_core import as_dense
+from .numeric_core import Tape, as_dense, concat_nodes
 
 
 @dataclass(frozen=True)
@@ -33,113 +35,62 @@ def param_length(spec):
 
 
 def fuse(inputs, spec, params=None):
-    mats = [as_dense(a) for a in inputs]
-    k = len(mats)
-    if k == 0:
-        raise ValueError("nothing to fuse")
-    if spec.strategy != "concat_linear":
-        shape = mats[0].shape
-        for a in mats[1:]:
-            if a.shape != shape:
-                raise ValueError("fusion inputs must share a shape")
-    if spec.strategy == "weighted_sum":
-        if spec.learnable:
-            w = np.asarray(params, dtype=float).reshape(-1)
-        else:
-            w = np.asarray(spec.weights, dtype=float)
-        if w.size != k:
-            raise ValueError("need one weight per input")
-        return sum(wi * a for wi, a in zip(w, mats))
-    if spec.strategy == "average":
-        return sum(mats) / k
-    if spec.strategy == "sum":
-        return sum(mats)
-    if spec.strategy == "metric":
-        stack = np.stack(mats)
-        if spec.metric == "max":
-            return stack.max(axis=0)
-        if spec.metric == "min":
-            return stack.min(axis=0)
-        if spec.metric == "prod":
-            return stack.prod(axis=0)
-        if spec.metric == "median":
-            return np.median(stack, axis=0)
-        raise ValueError("unknown fusion metric %r" % spec.metric)
-    if spec.strategy == "hadamard":
-        out = mats[0].copy()
-        for a in mats[1:]:
-            out = out * a
-        return out
-    if spec.strategy == "concat_linear":
-        rows = mats[0].shape[0]
-        for a in mats:
-            if a.shape[0] != rows:
-                raise ValueError("concat_linear inputs must share row counts")
-        cat = np.concatenate(mats, axis=1)
-        total = cat.shape[1]
-        params = np.asarray(params, dtype=float).reshape(-1)
-        if spec.low_rank:
-            r = spec.low_rank
-            p = params[: total * r].reshape(total, r)
-            q = params[total * r:].reshape(spec.target, r)
-            return cat @ p @ q.T
-        return cat @ params.reshape(total, spec.target)
-    raise ValueError("unknown fusion strategy %r" % spec.strategy)
+    """Fusion of plain matrices; evaluates fuse_nodes on a gradient-free tape."""
+    tape = Tape()
+    nodes = [tape.constant(as_dense(a)) for a in inputs]
+    param_node = None if params is None else tape.constant(params)
+    return fuse_nodes(nodes, spec, param_node).value
+
+
+_METRICS = {
+    "max": lambda stack: stack.max(axis=0),
+    "min": lambda stack: stack.min(axis=0),
+    "prod": lambda stack: stack.prod(axis=0),
+    "median": lambda stack: np.median(stack, axis=0),
+}
 
 
 def fuse_nodes(nodes, spec, param_node=None):
-    """Tape version for head/channel outputs inside the model."""
-    from .numeric_core import concat_nodes
+    """Fused tape node of matrix, head or channel output nodes."""
     k = len(nodes)
+    if k == 0:
+        raise ValueError("nothing to fuse")
     tape = nodes[0].tape
-    if spec.strategy == "sum":
-        out = nodes[0]
-        for n in nodes[1:]:
-            out = out + n
-        return out
-    if spec.strategy == "average":
-        out = nodes[0]
-        for n in nodes[1:]:
-            out = out + n
-        return out.scale(1.0 / k)
+    if spec.strategy == "concat_linear":
+        rows = nodes[0].shape[0]
+        if any(n.shape[0] != rows for n in nodes):
+            raise ValueError("concat_linear inputs must share row counts")
+    elif any(n.shape != nodes[0].shape for n in nodes):
+        raise ValueError("fusion inputs must share a shape")
+    learned = spec.strategy == "concat_linear" or (
+        spec.strategy == "weighted_sum" and spec.learnable)
+    if learned and param_node is None:
+        raise ValueError("%s fusion needs a parameter vector" % spec.strategy)
+    if spec.strategy in ("sum", "average"):
+        out = functools.reduce(operator.add, nodes)
+        return out if spec.strategy == "sum" else out.scale(1.0 / k)
+    if spec.strategy == "hadamard":
+        return functools.reduce(operator.mul, nodes)
     if spec.strategy == "weighted_sum":
         if spec.learnable:
-            flat = param_node.reshape((1, -1))
-            out = None
-            for i, n in enumerate(nodes):
-                sel = np.zeros((k, 1))
-                sel[i, 0] = 1.0
-                wi = flat.matmul(sel)  # 1x1
-                term = n * wi
-                out = term if out is None else out + term
-            return out
-        out = None
-        for wi, n in zip(spec.weights, nodes):
-            term = n.scale(float(wi))
-            out = term if out is None else out + term
-        return out
-    if spec.strategy == "hadamard":
-        out = nodes[0]
-        for n in nodes[1:]:
-            out = out * n
-        return out
+            weights = [param_node.take(i, i + 1) for i in range(param_node.value.size)]
+        else:
+            weights = [float(w) for w in spec.weights]
+        if len(weights) != k:
+            raise ValueError("need one weight per input")
+        return functools.reduce(operator.add, [n * w for n, w in zip(nodes, weights)])
     if spec.strategy == "metric":
-        # not differentiable in general; evaluated on values
-        return tape.constant(fuse([n.value for n in nodes], spec))
+        # value-only: no gradient flows through a metric fusion
+        if spec.metric not in _METRICS:
+            raise ValueError("unknown fusion metric %r" % spec.metric)
+        return tape.constant(_METRICS[spec.metric](np.stack([n.value for n in nodes])))
     if spec.strategy == "concat_linear":
         cat = concat_nodes(nodes, axis=1)
-        total = cat.value.shape[1]
-        flat = param_node.reshape((1, -1))
+        total = cat.shape[1]
         if spec.low_rank:
             r = spec.low_rank
-            np_len = total * r
-            sel_p = np.zeros((flat.value.shape[1], np_len))
-            sel_p[np.arange(np_len), np.arange(np_len)] = 1.0
-            sel_q = np.zeros((flat.value.shape[1], spec.target * r))
-            sel_q[np_len + np.arange(spec.target * r), np.arange(spec.target * r)] = 1.0
-            p = flat.matmul(sel_p).reshape((total, r))
-            q = flat.matmul(sel_q).reshape((spec.target, r))
+            p = param_node.take(0, total * r).reshape((total, r))
+            q = param_node.take(total * r, param_node.value.size).reshape((spec.target, r))
             return cat.matmul(p).matmul(q.transpose())
-        w = param_node.reshape((total, spec.target))
-        return cat.matmul(w)
+        return cat.matmul(param_node.reshape((total, spec.target)))
     raise ValueError("unknown fusion strategy %r" % spec.strategy)

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid_geometry as gg
-from .numeric_core import SparseCoo, as_dense, matrix_exp, scaled_softmax, solve
+from .numeric_core import (SparseCoo, Tape, as_dense, l1_normalize_node, matrix_exp,
+                           softmax_node, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -381,36 +382,52 @@ def graph_structural_matrix(graph, variant="adjacency", hops=1, alpha=0.15,
 # build dispatch
 
 
-def apply_post_norm(a, post_norm, norm_r=1):
+# Variants differentiated on the tape (model.build_interdep_node); every
+# other variant is a parameter-free constant built here.
+TAPE_VARIANTS = (Parameterized, Bilinear, LowRankBilinear, RpnHead, Hybrid)
+
+
+def post_norm_node(a, post_norm, norm_r=1):
+    """Row/column normalization of a relation-matrix tape node."""
     if post_norm == "none":
         return a
-    a = as_dense(a)
     if post_norm == "row_l1":
-        s = np.sum(np.abs(a), axis=1, keepdims=True)
-        return a / np.where(s == 0, 1.0, s)
+        return l1_normalize_node(a, axis="row")
     if post_norm == "col_l1":
-        s = np.sum(np.abs(a), axis=0, keepdims=True)
-        return a / np.where(s == 0, 1.0, s)
+        return l1_normalize_node(a, axis="col")
     if post_norm == "col_softmax":
-        return scaled_softmax(a, 1, axis="col")
+        return softmax_node(a, axis="col", r=1)
     if post_norm == "scaled_col_softmax":
-        return scaled_softmax(a, norm_r, axis="col")
+        return softmax_node(a, axis="col", r=norm_r)
     raise ValueError("unknown post_norm %r" % post_norm)
 
 
-def build_matrix(spec, x=None, params=None, prng=None):
+def apply_post_norm(a, post_norm, norm_r=1):
+    """post_norm_node evaluated on a gradient-free tape."""
+    if post_norm == "none":
+        return a
+    return post_norm_node(Tape().constant(as_dense(a)), post_norm, norm_r).value
+
+
+def build_matrix(spec, x=None, params=None):
     """Produce the relation matrix for a spec.
 
     Instance-axis specs dispatch on the transposed batch; structural
     instance-axis matrices are returned transposed so that the model's
     stored.T @ X convention applies the natural propagation direction.
+    Parametric variants and hybrids are evaluated by
+    model.build_interdep_node on a gradient-free tape.
     """
     v = spec.variant
     need = param_length(spec)
-    if need:
-        if params is None or np.asarray(params).size != need:
-            raise ValueError("expected %d parameters" % need)
-        params = np.asarray(params, dtype=float).reshape(-1)
+    if need and (params is None or np.asarray(params).size != need):
+        raise ValueError("expected %d parameters" % need)
+    if isinstance(v, TAPE_VARIANTS):
+        from .model import build_interdep_node
+        tape = Tape()
+        x_node = None if x is None else tape.constant(x)
+        p_node = tape.constant(np.zeros(0) if params is None else params)
+        return build_interdep_node(spec, x_node, p_node).value
     data = None
     if x is not None:
         data = np.asarray(x, dtype=float)
@@ -429,26 +446,6 @@ def build_matrix(spec, x=None, params=None, prng=None):
         if data is None:
             raise ValueError("numerical kernel needs a data batch")
         a = numerical_kernel_matrix(data, v.kind, v.params)
-    elif isinstance(v, Parameterized):
-        if v.reconciliation == "full":
-            a = params.reshape(v.m, v.m_prime)
-        else:
-            wa = params[: v.m * v.rank].reshape(v.m, v.rank)
-            wb = params[v.m * v.rank:].reshape(v.m_prime, v.rank)
-            a = wa @ wb.T
-    elif isinstance(v, Bilinear):
-        if data is None:
-            raise ValueError("bilinear interdependence needs a data batch")
-        w = params.reshape(v.dim, v.dim)
-        a = data.T @ w @ data
-    elif isinstance(v, LowRankBilinear):
-        if data is None:
-            raise ValueError("bilinear interdependence needs a data batch")
-        wp = params[: v.dim * v.rank].reshape(v.dim, v.rank)
-        wq = params[v.dim * v.rank:].reshape(v.dim, v.rank)
-        a = (data.T @ wp) @ (data.T @ wq).T
-    elif isinstance(v, RpnHead):
-        a = rpn_head_matrix(v, data, params)
     elif isinstance(v, GridStructural):
         a = grid_structural_matrix(v.grid, v.shape, v.packing, v.mode)
     elif isinstance(v, ChainStructural):
@@ -459,48 +456,6 @@ def build_matrix(spec, x=None, params=None, prng=None):
                                     v.normalization)
         if spec.axis == "instance":
             a = a.T
-    elif isinstance(v, Hybrid):
-        a = hybrid_matrix(v, spec.axis, x, params, prng)
     else:
         raise TypeError("unknown interdependence variant %r" % (v,))
-
-    if spec.post_norm != "none":
-        a = apply_post_norm(a, spec.post_norm, spec.norm_r)
-    return a
-
-
-def hybrid_matrix(v, axis, x, params, prng=None):
-    from .fusion import fuse
-    mats = []
-    used = 0
-    params = None if params is None else np.asarray(params, dtype=float).reshape(-1)
-    for child in v.variants:
-        child_spec = child if isinstance(child, InterdependenceSpec) \
-            else InterdependenceSpec(child, axis=axis)
-        need = param_length(child_spec)
-        sub = None
-        if need:
-            sub = params[used: used + need]
-            used += need
-        mats.append(as_dense(build_matrix(child_spec, x, sub, prng)))
-    return fuse(mats, v.fusion)
-
-
-def rpn_head_matrix(v, data, params):
-    """Single-head composition xi(X|w) = <kappa'(flatten(X)), psi'(w')> + pi',
-    reshaped to m x m_prime. `data` arrives already transposed for instance
-    axis; flattening uses it as given.
-    """
-    from . import reconciliation as rc
-    from . import transformation as tf
-    if data is None:
-        raise ValueError("rpn head interdependence needs a data batch")
-    flat = data.reshape(1, -1)
-    if flat.size != v.flat_len:
-        raise ValueError("batch size does not match declared flat length")
-    expanded = tf.expand(flat, v.expansion)
-    psi = rc.reconcile(v.reconciliation, params)
-    out = expanded @ psi.T  # 1 x (m * m_prime)
-    if v.remainder is not None:
-        out = out + np.asarray(v.remainder, dtype=float).reshape(1, -1)
-    return out.reshape(v.m, v.m_prime)
+    return apply_post_norm(a, spec.post_norm, spec.norm_r)

@@ -5,9 +5,17 @@ A head computes, per channel,
 plus the remainder of the head input, with processors applied at their
 stations. Heads are fused per layer, layers are stacked.
 
-Data-dependent parameter-free interdependence matrices are constants of the
-batch (no gradient flows through them); parametric ones (bilinear and friends)
-are differentiated.
+Each component is implemented once, on the tape; the numpy entry points
+(`reconcile`, `fuse`, `build_matrix`, `apply_post_norm`) evaluate the same
+code on a gradient-free tape.
+
+Parameter-free interdependence matrices are constants of the batch (no
+gradient flows through them). Parametric ones are differentiated in their
+parameters and in the data they read: bilinear variants and `RpnHead`, whose
+expansion runs through `_expand_node`. A `Hybrid` builds each child on the
+tape and fuses them with `fusion.fuse_nodes`, so its parametric children are
+trained. `metric` fusion is value-only: nothing upstream of it gets a
+gradient, and `train` rejects a config whose parameters would never learn.
 """
 
 from dataclasses import dataclass, field
@@ -18,8 +26,8 @@ from . import fusion as fu
 from . import interdependence as itd
 from . import reconciliation as rc
 from . import transformation as tf
-from .numeric_core import (Tape, as_dense, blocks_dot, cross_entropy_node,
-                           l1_normalize_node, norm, softmax_node)
+from .numeric_core import (Tape, as_dense, blocks_dot, concat_nodes,
+                           cross_entropy_node, norm, softmax_node)
 
 
 @dataclass
@@ -79,8 +87,7 @@ class ParameterStore:
         return self.vector.size
 
 
-def _interdep_names(k, h):
-    return ["attr_prior", "attr_post", "inst_prior", "inst_post"]
+_INTERDEP_TAGS = ("attr_prior", "attr_post", "inst_prior", "inst_post")
 
 
 def init_store(model, seed=0):
@@ -90,7 +97,7 @@ def init_store(model, seed=0):
     for k, layer in enumerate(model.layers):
         for h, head in enumerate(layer.heads):
             scale = 1.0 / np.sqrt(max(1, head.m))
-            for tag in _interdep_names(k, h):
+            for tag in _INTERDEP_TAGS:
                 spec = getattr(head, tag)
                 if spec is None:
                     continue
@@ -130,73 +137,59 @@ def make_param_nodes(tape, store):
 # interdependence on the tape
 
 
-def _post_norm_node(a, post_norm, r):
-    if post_norm == "none":
-        return a
-    if post_norm == "row_l1":
-        return l1_normalize_node(a, axis="row")
-    if post_norm == "col_l1":
-        return l1_normalize_node(a, axis="col")
-    if post_norm == "col_softmax":
-        return softmax_node(a, axis="col", r=1)
-    if post_norm == "scaled_col_softmax":
-        return softmax_node(a, axis="col", r=r)
-    raise ValueError("unknown post_norm %r" % post_norm)
-
-
 def build_interdep_node(spec, x_node, param_node):
-    """Relation matrix as a tape node; parameter-free data-dependent variants
-    become constants of the batch."""
-    tape = x_node.tape
+    """Relation matrix as a tape node. Parametric variants and hybrids are
+    differentiated in their parameters and data; parameter-free variants are
+    constants of the batch. x_node may be None for variants that ignore the
+    data, param_node for parameter-free specs."""
+    tape = (x_node if x_node is not None else param_node).tape
     v = spec.variant
-    if itd.param_length(spec) == 0:
-        a = itd.build_matrix(spec, x_node.value)
-        return tape.constant(as_dense(a))
+    if not isinstance(v, itd.TAPE_VARIANTS):
+        x = None if x_node is None else x_node.value
+        return tape.constant(as_dense(itd.build_matrix(spec, x)))
+    if param_node is None:
+        param_node = tape.constant(np.zeros(0))
+    if isinstance(v, (itd.Bilinear, itd.LowRankBilinear, itd.RpnHead)):
+        if x_node is None:
+            raise ValueError("%s interdependence needs a data batch" % type(v).__name__)
+        data = x_node.transpose() if spec.axis == "instance" else x_node
     if isinstance(v, itd.Parameterized):
         if v.reconciliation == "full":
             a = param_node.reshape((v.m, v.m_prime))
         else:
-            flat = param_node.reshape((1, -1))
             na = v.m * v.rank
-            l = itd.param_length(spec)
-            sel_a = np.zeros((l, na))
-            sel_a[np.arange(na), np.arange(na)] = 1.0
-            sel_b = np.zeros((l, l - na))
-            sel_b[na + np.arange(l - na), np.arange(l - na)] = 1.0
-            wa = flat.matmul(sel_a).reshape((v.m, v.rank))
-            wb = flat.matmul(sel_b).reshape((v.m_prime, v.rank))
+            wa = param_node.take(0, na).reshape((v.m, v.rank))
+            wb = param_node.take(na, itd.param_length(v)).reshape((v.m_prime, v.rank))
             a = wa.matmul(wb.transpose())
-    elif isinstance(v, (itd.Bilinear, itd.LowRankBilinear)):
-        data = x_node.transpose() if spec.axis == "instance" else x_node
-        if isinstance(v, itd.Bilinear):
-            w = param_node.reshape((v.dim, v.dim))
-            a = data.transpose().matmul(w).matmul(data)
-        else:
-            flat = param_node.reshape((1, -1))
-            half = v.dim * v.rank
-            sel_p = np.zeros((2 * half, half))
-            sel_p[np.arange(half), np.arange(half)] = 1.0
-            sel_q = np.zeros((2 * half, half))
-            sel_q[half + np.arange(half), np.arange(half)] = 1.0
-            wp = flat.matmul(sel_p).reshape((v.dim, v.rank))
-            wq = flat.matmul(sel_q).reshape((v.dim, v.rank))
-            left = data.transpose().matmul(wp)
-            right = data.transpose().matmul(wq)
-            a = left.matmul(right.transpose())
+    elif isinstance(v, itd.Bilinear):
+        w = param_node.reshape((v.dim, v.dim))
+        a = data.transpose().matmul(w).matmul(data)
+    elif isinstance(v, itd.LowRankBilinear):
+        half = v.dim * v.rank
+        wp = param_node.take(0, half).reshape((v.dim, v.rank))
+        wq = param_node.take(half, 2 * half).reshape((v.dim, v.rank))
+        a = data.transpose().matmul(wp).matmul(data.transpose().matmul(wq).transpose())
     elif isinstance(v, itd.RpnHead):
-        data = x_node.value.T if spec.axis == "instance" else x_node.value
-        flat = data.reshape(1, -1)
-        expanded = tape.constant(tf.expand(flat, v.expansion))
+        # xi(X|w) = <kappa'(flatten(X)), psi'(w')> + pi', reshaped m x m_prime
+        flat = data.reshape((1, -1))
+        if flat.value.size != v.flat_len:
+            raise ValueError("batch size does not match declared flat length")
         psi = rc.reconcile_node(v.reconciliation, param_node)
-        out = expanded.matmul(psi.transpose())
+        a = _expand_node(flat, v.expansion).matmul(psi.transpose())
         if v.remainder is not None:
-            out = out + tape.constant(np.asarray(v.remainder, dtype=float).reshape(1, -1))
-        a = out.reshape((v.m, v.m_prime))
-    else:
-        # parametric hybrids fall back to the dense path without gradients
-        a = tape.constant(as_dense(itd.build_matrix(spec, x_node.value,
-                                                    param_node.value)))
-    return _post_norm_node(a, spec.post_norm, spec.norm_r)
+            a = a + np.asarray(v.remainder, dtype=float).reshape(1, -1)
+        a = a.reshape((v.m, v.m_prime))
+    else:  # Hybrid: children built on the tape, then fused
+        mats, used = [], 0
+        for child in v.variants:
+            if not isinstance(child, itd.InterdependenceSpec):
+                child = itd.InterdependenceSpec(child, axis=spec.axis)
+            need = itd.param_length(child)
+            mats.append(build_interdep_node(child, x_node,
+                                            param_node.take(used, used + need)))
+            used += need
+        a = fu.fuse_nodes(mats, v.fusion)
+    return itd.post_norm_node(a, spec.post_norm, spec.norm_r)
 
 
 # ---------------------------------------------------------------------------
@@ -218,52 +211,14 @@ def _apply_processor(node, tag):
 
 
 def _expand_node(cur, spec):
-    tape = cur.tape
     if spec.family == "identity":
         return cur
     if spec.family == "wavelet":
         # wavelet expansion is only supported at the network input
-        return tape.constant(tf.expand_wavelet(cur.value, spec))
+        return cur.tape.constant(tf.expand_wavelet(cur.value, spec))
     # polynomial recurrence, elementwise on the tape, degree-major blocks
-    one = tape.constant(np.ones_like(cur.value))
-    if spec.family == "hermite":
-        p0, p1 = one, cur
-    elif spec.family == "laguerre":
-        p0, p1 = one, (cur.scale(-1.0) + one.scale(1.0 + spec.alpha))
-    elif spec.family == "legendre":
-        p0, p1 = one, cur
-    elif spec.family == "gegenbauer":
-        p0, p1 = one, cur.scale(2.0 * spec.alpha)
-    elif spec.family in ("bessel", "reverse_bessel"):
-        p0, p1 = one, cur + one
-    elif spec.family == "fibonacci":
-        p0, p1 = one.scale(0.0), one
-    elif spec.family == "lucas":
-        p0, p1 = one.scale(2.0), cur
-    else:
-        raise ValueError("unknown polynomial family %r" % spec.family)
-    cols = [p1]
-    for n in range(2, spec.d + 1):
-        if spec.family == "hermite":
-            nxt = cur * p1 - p0.scale(n - 1.0)
-        elif spec.family == "laguerre":
-            nxt = ((one.scale(2 * n - 1 + spec.alpha) - cur) * p1
-                   - p0.scale(n - 1 + spec.alpha)).scale(1.0 / n)
-        elif spec.family == "legendre":
-            nxt = (cur.scale(2 * n - 1) * p1 - p0.scale(n - 1.0)).scale(1.0 / n)
-        elif spec.family == "gegenbauer":
-            nxt = (cur.scale(2.0 * (n - 1 + spec.alpha)) * p1
-                   - p0.scale(n + 2 * spec.alpha - 2)).scale(1.0 / n)
-        elif spec.family == "bessel":
-            nxt = cur.scale(2 * n - 1.0) * p1 + p0
-        elif spec.family == "reverse_bessel":
-            nxt = p1.scale(2 * n - 1.0) + (cur * cur) * p0
-        else:  # fibonacci / lucas share the recurrence
-            nxt = cur * p1 + p0
-        cols.append(nxt)
-        p0, p1 = p1, nxt
-    from .numeric_core import concat_nodes
-    return concat_nodes(cols, axis=1)
+    return concat_nodes(tf.polynomial_columns(spec.family, cur, spec.d, spec.alpha),
+                        axis=1)
 
 
 def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
@@ -297,17 +252,12 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
     spec = head.reconciliation
     outs = []
     for c in range(head.channels):
-        l = rc.param_length(spec)
-        if l:
-            w_node = param_nodes["l%d.h%d.c%d.psi" % (k, h, c)]
-        else:
-            w_node = None
+        w_node = param_nodes.get("l%d.h%d.c%d.psi" % (k, h, c))
         if spec.method == "duplicated_padding":
             outs.append(blocks_dot(cur, w_node, spec.p_count, spec.p))
-        elif spec.method == "constant_eye":
-            psi = tape.constant(rc.reconcile(spec))
-            outs.append(cur.matmul(psi.transpose()))
         else:
+            if w_node is None:  # constant_eye has no parameters
+                w_node = tape.constant(np.zeros(0))
             psi = rc.reconcile_node(spec, w_node)
             if cur.value.shape[1] != psi.value.shape[1]:
                 raise ValueError(
@@ -409,6 +359,11 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
             raise FloatingPointError("non-finite loss at epoch %d" % epoch)
         history.append(epoch, lv, metric)
         grads = tape.backward(loss_node)
+        if epoch == 0:
+            missing = [name for name in store.slots if name not in grads]
+            if missing:
+                raise ValueError("no gradient reaches %s; the config cannot learn them"
+                                 % ", ".join(missing))
         g = _flatten_grads(store, grads)
         if kind == "sgd":
             mom = float(opt.get("momentum", 0.0))

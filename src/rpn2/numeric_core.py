@@ -256,6 +256,8 @@ class Prng:
 
 class Node:
     __slots__ = ("tape", "value", "vjps", "nid", "is_param", "name")
+    # numpy scalars on the left defer to the reflected operators below
+    __array_ufunc__ = None
 
     def __init__(self, tape, value, vjps, is_param=False, name=None):
         self.tape = tape
@@ -284,15 +286,38 @@ class Node:
                     [(self, lambda g: _unbroadcast(g, self.value.shape)),
                      (other, lambda g: _unbroadcast(-g, other.value.shape))])
 
+    def __rsub__(self, other):
+        return self.tape.lift(other) - self
+
     def __mul__(self, other):
+        if np.isscalar(other):
+            return self.scale(other)
         other = self.tape.lift(other)
         return Node(self.tape, self.value * other.value,
                     [(self, lambda g: _unbroadcast(g * other.value, self.value.shape)),
                      (other, lambda g: _unbroadcast(g * self.value, other.value.shape))])
 
+    def __rmul__(self, s):
+        return self.scale(s)
+
+    def __truediv__(self, s):
+        s = float(s)
+        return Node(self.tape, self.value / s, [(self, lambda g: g / s)])
+
     def scale(self, s):
         s = float(s)
         return Node(self.tape, self.value * s, [(self, lambda g: g * s)])
+
+    def take(self, lo, hi):
+        """Entries lo..hi of the flattened value; the VJP scatters into zeros."""
+        shape = self.value.shape
+
+        def vjp(g):
+            out = np.zeros(self.value.size)
+            out[lo:hi] = g.reshape(-1)
+            return out.reshape(shape)
+
+        return Node(self.tape, self.value.reshape(-1)[lo:hi], [(self, vjp)])
 
     def matmul(self, other):
         other = self.tape.lift(other)

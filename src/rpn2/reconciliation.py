@@ -1,5 +1,5 @@
 """Parameter reconciliation: fabricate the n x D coefficient matrix from a
-short parameter vector, plus the additive remainder functions.
+short parameter vector.
 
 The fabricated matrix is laid out n x D and is applied as `expanded @ psi.T`.
 Frozen random factors are drawn once per (method, seed) with Box-Muller over
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric_core import Prng
+from .numeric_core import Prng, Tape
 
 
 @dataclass(frozen=True)
@@ -79,89 +79,44 @@ def _check_length(spec, w):
 
 
 def reconcile(spec, w=None):
-    """n x D coefficient matrix from the parameter vector."""
+    """n x D coefficient matrix from the parameter vector; evaluates
+    reconcile_node on a gradient-free tape."""
     w = _check_length(spec, w if w is not None else np.zeros(0))
-    if spec.method == "identity":
-        return w.reshape(spec.n, spec.D)
-    if spec.method == "constant_eye":
-        out = np.zeros((spec.n, spec.D))
-        np.fill_diagonal(out, 1.0)
-        return out
     if spec.method == "duplicated_padding":
-        # block layout: row j carries w at columns j*p .. (j+1)*p
+        # dense block layout, the reference for numeric_core.blocks_dot:
+        # row j carries w at columns j*p .. (j+1)*p
         out = np.zeros((spec.p_count, spec.p * spec.p_count))
         for j in range(spec.p_count):
             out[j, j * spec.p: (j + 1) * spec.p] = w
         return out
-    if spec.method == "lorr":
-        a = w[: spec.n * spec.rank].reshape(spec.n, spec.rank)
-        b = w[spec.n * spec.rank:].reshape(spec.D, spec.rank)
-        return a @ b.T
-    if spec.method == "vera":
-        fr = frozen_randoms(spec)
-        lam1 = w[: spec.n]
-        lam2 = w[spec.n:]
-        return (lam1[:, None] * (fr.A * lam2[None, :])) @ fr.B.T
-    if spec.method == "hypernet_lowrank":
-        fr = frozen_randoms(spec)
-        hidden = 1.0 / (1.0 + np.exp(-(w[None, :] @ fr.P) @ fr.Q.T))
-        return (((hidden @ fr.S) @ fr.T.T)).reshape(spec.n, spec.D)
-    raise ValueError("unknown reconciliation method %r" % spec.method)
+    return reconcile_node(spec, Tape().constant(w)).value
 
 
 def reconcile_node(spec, w_node):
-    """Tape version; w_node is a 1 x l (or l,) parameter node."""
+    """Fabricated n x D matrix as a tape node; w_node holds the parameter
+    vector (a zero-length node for constant_eye)."""
+    t = w_node.tape
     if spec.method == "identity":
         return w_node.reshape((spec.n, spec.D))
     if spec.method == "constant_eye":
-        return w_node.tape.constant(reconcile(spec))
+        return t.constant(np.eye(spec.n, spec.D))
     if spec.method == "lorr":
-        flat = w_node.reshape((-1,))
-        a = flat.reshape((1, -1))
-        # slices via constant selection matrices keep the op set small
         na = spec.n * spec.rank
-        sel_a = np.zeros((param_length(spec), na))
-        sel_a[np.arange(na), np.arange(na)] = 1.0
-        nb = spec.D * spec.rank
-        sel_b = np.zeros((param_length(spec), nb))
-        sel_b[na + np.arange(nb), np.arange(nb)] = 1.0
-        wa = a.matmul(sel_a).reshape((spec.n, spec.rank))
-        wb = a.matmul(sel_b).reshape((spec.D, spec.rank))
+        wa = w_node.take(0, na).reshape((spec.n, spec.rank))
+        wb = w_node.take(na, param_length(spec)).reshape((spec.D, spec.rank))
         return wa.matmul(wb.transpose())
     if spec.method == "vera":
         fr = frozen_randoms(spec)
-        flat = w_node.reshape((1, -1))
-        sel1 = np.zeros((param_length(spec), spec.n))
-        sel1[np.arange(spec.n), np.arange(spec.n)] = 1.0
-        sel2 = np.zeros((param_length(spec), spec.rank))
-        sel2[spec.n + np.arange(spec.rank), np.arange(spec.rank)] = 1.0
-        lam1 = flat.matmul(sel1).reshape((spec.n, 1))
-        lam2 = flat.matmul(sel2).reshape((1, spec.rank))
-        scaled = (lam1 * w_node.tape.constant(fr.A)) * lam2
-        return scaled.matmul(w_node.tape.constant(fr.B.T))
+        lam1 = w_node.take(0, spec.n).reshape((spec.n, 1))
+        lam2 = w_node.take(spec.n, spec.n + spec.rank).reshape((1, spec.rank))
+        scaled = (lam1 * t.constant(fr.A)) * lam2
+        return scaled.matmul(t.constant(fr.B.T))
     if spec.method == "hypernet_lowrank":
         fr = frozen_randoms(spec)
         flat = w_node.reshape((1, -1))
-        t = w_node.tape
         hidden = flat.matmul(t.constant(fr.P)).matmul(t.constant(fr.Q.T)).sigmoid()
         out = hidden.matmul(t.constant(fr.S)).matmul(t.constant(fr.T.T))
         return out.reshape((spec.n, spec.D))
-    raise ValueError("no tape path for %r" % spec.method)
-
-
-# ---------------------------------------------------------------------------
-# remainders
-
-
-def remainder(x, kind, w_pi=None):
-    x = np.asarray(x, dtype=float)
-    if kind == "zero":
-        return np.zeros_like(x)
-    if kind == "identity":
-        return x
-    if kind == "linear":
-        w_pi = np.asarray(w_pi, dtype=float)
-        if w_pi.shape[0] != x.shape[1]:
-            raise ValueError("remainder matrix rows must equal the input width")
-        return x @ w_pi
-    raise ValueError("unknown remainder kind %r" % kind)
+    if spec.method == "duplicated_padding":
+        raise ValueError("duplicated_padding heads use numeric_core.blocks_dot")
+    raise ValueError("unknown reconciliation method %r" % spec.method)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid_geometry as gg
+from .numeric_core import Node
 
 
 @dataclass(frozen=True)
@@ -43,7 +44,7 @@ class ExpansionSpec:
 
 def _poly_seed(family, x, alpha):
     """(P0, P1) of the recurrence."""
-    one = np.ones_like(x)
+    one = x.tape.constant(np.ones(x.shape)) if isinstance(x, Node) else np.ones_like(x)
     if family == "hermite":
         return one, x
     if family == "laguerre":
@@ -55,7 +56,7 @@ def _poly_seed(family, x, alpha):
     if family in ("bessel", "reverse_bessel"):
         return one, x + 1.0
     if family == "fibonacci":
-        return np.zeros_like(x), one
+        return 0.0 * one, one
     if family == "lucas":
         return 2.0 * one, x
     raise ValueError("unknown polynomial family %r" % family)
@@ -77,32 +78,36 @@ def _poly_step(family, x, n, p1, p0, alpha):
         return (2 * n - 1) * x * p1 + p0
     if family == "reverse_bessel":
         return (2 * n - 1) * p1 + x * x * p0
-    if family == "fibonacci":
-        return x * p1 + p0
-    if family == "lucas":
+    if family in ("fibonacci", "lucas"):
         return x * p1 + p0
     raise ValueError("unknown polynomial family %r" % family)
 
 
-def polynomial_values(family, x, d, alpha=0.5):
-    """[P_1(x) .. P_d(x)] stacked on the last axis."""
+def polynomial_columns(family, x, d, alpha=0.5):
+    """[P_1(x) .. P_d(x)] as a list, elementwise in x; x is an array or a
+    tape node, so the model differentiates the same recurrence."""
     if d < 1:
         raise ValueError("d must be >= 1")
-    x = np.asarray(x, dtype=float)
     p0, p1 = _poly_seed(family, x, alpha)
     cols = [p1]
     for n in range(2, d + 1):
         p0, p1 = p1, _poly_step(family, x, n, p1, p0, alpha)
         cols.append(p1)
-    return np.stack(cols, axis=-1)
+    return cols
+
+
+def polynomial_values(family, x, d, alpha=0.5):
+    """[P_1(x) .. P_d(x)] stacked on the last axis."""
+    return np.stack(polynomial_columns(family, np.asarray(x, dtype=float), d, alpha),
+                    axis=-1)
 
 
 def expand_polynomial(x, family, d, alpha=0.5):
+    """Degree-major blocks [P_1(X), P_2(X), ..., P_d(X)] of a b x m batch."""
     x = np.asarray(x, dtype=float)
-    b, m = x.shape
-    vals = polynomial_values(family, x, d, alpha)  # b x m x d
-    # degree-major blocks: [P_1(X), P_2(X), ..., P_d(X)]
-    return vals.transpose(0, 2, 1).reshape(b, m * d)
+    if x.ndim != 2:
+        raise ValueError("expansion needs a b x m batch")
+    return np.concatenate(polynomial_columns(family, x, d, alpha), axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -162,3 +162,19 @@ def test_config_roundtrip_fixed_point(tmp_path):
 def test_missing_config_file_io_error(tmp_path):
     assert _run(["gen-data", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "x.csv")]) == 3
+
+
+def test_train_rejects_metric_head_fusion_that_cannot_learn(tmp_path, capsys):
+    head = {"m": 2, "n": 2,
+            "reconciliation": {"method": "identity", "n": 2, "D": 2}}
+    cfg_obj = {"model": {"layers": [{"heads": [head, head],
+                                     "head_fusion": "metric"}]},
+               "data": {"kind": "two_moons", "n": 40, "noise": 0.1, "seed": 7},
+               "train": {"loss": "cross_entropy", "epochs": 5, "seed": 5},
+               "outputs": {"metrics": str(tmp_path / "m.csv"),
+                           "checkpoint": str(tmp_path / "c.json")}}
+    cfg = _write(tmp_path / "t.json", cfg_obj)
+    assert _run(["train", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert "l0.h0.c0.psi" in err and "l0.h1.c0.psi" in err
+    assert not (tmp_path / "c.json").exists()

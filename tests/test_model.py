@@ -248,3 +248,47 @@ def test_nonfinite_loss_aborts():
     with pytest.raises(FloatingPointError):
         md.train(model, x, y, loss="mse",
                  optimizer={"kind": "sgd", "lr": 1e200}, epochs=5, seed=0)
+
+
+def test_parametric_hybrid_prior_gradient_matches_finite_differences():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((4, 3))
+    head = md.HeadConfig(
+        m=3, n=2, expansion=tf.ExpansionSpec("identity"),
+        reconciliation=rc.ReconciliationSpec("identity", n=2, D=3),
+        attr_prior=itd.InterdependenceSpec(itd.Hybrid(
+            (itd.Parameterized(3, 3), itd.Identity(3)), fu.FusionSpec("sum"))))
+    model = _single(head)
+    store = md.init_store(model, 0)
+    out, tape, _ = md.model_forward_nodes(x, model, store)
+    g = tape.backward((out * out).sum())["l0.h0.attr_prior"]
+    assert np.all(np.isfinite(g)) and np.any(g != 0)
+    off, length, _ = store.slots["l0.h0.attr_prior"]
+    base = store.vector.copy()
+    h = 1e-6
+    for i in range(length):
+        losses = []
+        for step in (h, -h):
+            store.vector = base.copy()
+            store.vector[off + i] += step
+            losses.append(float(np.sum(md.model_forward(x, model, store) ** 2)))
+        fd = (losses[0] - losses[1]) / (2.0 * h)
+        assert abs(fd - g[i]) / max(1.0, abs(fd), abs(g[i])) < 1e-5
+
+
+def test_head_fusion_rejects_mismatched_head_widths():
+    layer = md.LayerConfig([_perceptron_head(3, 2), _perceptron_head(3, 1)],
+                           fu.FusionSpec("sum"))
+    model = md.ModelConfig([layer])
+    store = md.init_store(model, 0)
+    with pytest.raises(ValueError, match="share a shape"):
+        md.model_forward(np.ones((4, 3)), model, store)
+
+
+def test_gegenbauer_alpha_zero_rejected_on_model_path():
+    head = md.HeadConfig(m=2, n=2,
+                         expansion=tf.ExpansionSpec("gegenbauer", d=2, alpha=0.0),
+                         reconciliation=rc.ReconciliationSpec("identity", n=2, D=4))
+    model = _single(head)
+    with pytest.raises(ValueError, match="gegenbauer"):
+        md.model_forward(np.ones((3, 2)), model, md.init_store(model, 0))

@@ -219,6 +219,14 @@ def test_grad_concat_blocks_cross_entropy():
     _fd_check(lambda t, n: cross_entropy_node(n[0], labels), [(3, 3)], seed=8)
 
 
+def test_grad_take():
+    _fd_check(lambda t, n: n[0].take(2, 7).reshape((1, 5)).matmul(n[1]).sum(),
+              [(3, 4), (5, 2)])
+    # two slices of one node, one of them reaching the end, accumulate
+    _fd_check(lambda t, n: (n[0].take(9, 12) * n[0].take(0, 3)).sum(), [(12,)],
+              seed=6)
+
+
 def test_blocks_dot_equals_block_matrix():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 8))

@@ -114,15 +114,6 @@ def test_reconcile_node_matches_numpy():
         assert np.max(np.abs(node.value - rc.reconcile(spec, w))) < 1e-12
 
 
-def test_remainders():
-    x = np.arange(6.0).reshape(2, 3)
-    assert np.array_equal(rc.remainder(x, "zero"), np.zeros((2, 3)))
-    assert np.array_equal(rc.remainder(x, "identity"), x)
-    assert np.array_equal(rc.remainder(x, "linear", np.eye(3)), x)
-    with pytest.raises(ValueError):
-        rc.remainder(x, "linear", np.eye(4))
-
-
 # ---------------------------------------------------------------------------
 # fusion
 
@@ -223,3 +214,56 @@ def test_fuse_nodes_matches_fuse():
     w = np.array([0.5, -1.0, 2.0])
     got = fu.fuse_nodes(nodes, wspec, tape.parameter(w, name="w"))
     assert np.max(np.abs(got.value - fu.fuse(mats, wspec, w))) < 1e-13
+
+
+def test_hypernet_closed_form_oracle():
+    spec = rc.ReconciliationSpec("hypernet_lowrank", n=3, D=4, rank=2, mid=6,
+                                 input_len=5, seed=2)
+    w = np.linspace(-1, 1, 5)
+    fr = rc.frozen_randoms(spec)
+    hidden = 1.0 / (1.0 + np.exp(-(w[None, :] @ fr.P @ fr.Q.T)))
+    want = (hidden @ fr.S @ fr.T.T).reshape(3, 4)
+    assert np.max(np.abs(rc.reconcile(spec, w) - want)) < 1e-12
+
+
+def _fd_fusion(spec, mats, params, h=1e-6):
+    """Worst relative error of d sum(fuse * c) / d(params, inputs) against
+    central finite differences."""
+    c = np.random.default_rng(7).standard_normal(fu.fuse(mats, spec, params).shape)
+
+    def loss(ms, p):
+        return float(np.sum(fu.fuse(ms, spec, p) * c))
+
+    tape = Tape()
+    nodes = [tape.parameter(m, name=i) for i, m in enumerate(mats)]
+    out = fu.fuse_nodes(nodes, spec, tape.parameter(params, name="p"))
+    grads = tape.backward((out * tape.constant(c)).sum())
+    worst = 0.0
+    for name, vec in [("p", params)] + list(enumerate(mats)):
+        flat = vec.reshape(-1)
+        g = grads[name].reshape(-1)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            up = loss(mats, params)
+            flat[j] = orig - h
+            dn = loss(mats, params)
+            flat[j] = orig
+            fd = (up - dn) / (2 * h)
+            worst = max(worst, abs(fd - g[j]) / max(1.0, abs(fd), abs(g[j])))
+    return worst
+
+
+def test_learnable_weighted_sum_gradient():
+    spec = fu.FusionSpec("weighted_sum", learnable=True, input_count=3)
+    params = np.array([0.5, -1.0, 2.0])
+    assert _fd_fusion(spec, _rand_mats(3, (3, 4), seed=8), params) < 1e-6
+
+
+def test_low_rank_concat_linear_gradient():
+    rng = np.random.default_rng(9)
+    mats = [rng.standard_normal((4, 3)), rng.standard_normal((4, 2))]
+    spec = fu.FusionSpec("concat_linear", target=3, low_rank=2,
+                         input_widths=(3, 2), learnable=True, input_count=2)
+    params = rng.standard_normal(fu.param_length(spec))
+    assert _fd_fusion(spec, mats, params) < 1e-6
