@@ -167,11 +167,10 @@ def build_rnn_case(prng, steps=16, width=8):
 
 
 def build_gnn_case(prng, nodes=10, width=6, out_width=4, edge_prob=0.35):
-    edges = []
-    for i in range(nodes):
-        for j in range(i + 1, nodes):
-            if prng.uniform() < edge_prob:
-                edges.append((i, j))
+    # one draw per pair i < j in row-major order
+    iu, ju = np.triu_indices(nodes, 1)
+    keep = prng.uniforms(iu.size) < edge_prob
+    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
     graph = itd.Graph(nodes, edges)
     x = prng.normals((nodes, width))
     w = prng.normals((out_width, width))

@@ -209,6 +209,11 @@ def _interdep_from(cfg, axis):
                                    norm_r=int(cfg.get("norm_r", 1)))
 
 
+# strategies a bare name configures: the config has no weights, learnable,
+# target or metric keys, so weighted_sum and concat_linear cannot be expressed
+_HEAD_FUSIONS = ("average", "sum", "hadamard", "metric")
+
+
 def model_from_config(cfg):
     _check_keys(cfg, {"layers"}, "model")
     layers = []
@@ -230,9 +235,13 @@ def model_from_config(cfg):
                 inst_prior=_interdep_from(hcfg["inst_prior"], "instance")
                 if "inst_prior" in hcfg else None,
                 processors=dict(hcfg.get("processors", {}))))
+        strategy = lcfg.get("head_fusion", "average")
+        if strategy not in _HEAD_FUSIONS:
+            raise ConfigError(
+                "unsupported head_fusion %r at model.layers[%d]; expected one of %s"
+                % (strategy, li, ", ".join(_HEAD_FUSIONS)))
         from . import fusion as fu
-        layers.append(md.LayerConfig(heads, fu.FusionSpec(
-            lcfg.get("head_fusion", "average"))))
+        layers.append(md.LayerConfig(heads, fu.FusionSpec(strategy)))
     return md.ModelConfig(layers)
 
 

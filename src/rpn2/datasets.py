@@ -10,8 +10,8 @@ def two_moons(n=200, noise=0.1, seed=0):
     prng = Prng(seed).derive("two_moons")
     n_top = n // 2
     n_bot = n - n_top
-    t_top = np.array([prng.uniform() for _ in range(n_top)]) * np.pi
-    t_bot = np.array([prng.uniform() for _ in range(n_bot)]) * np.pi
+    t_top = prng.uniforms(n_top) * np.pi
+    t_bot = prng.uniforms(n_bot) * np.pi
     top = np.stack([np.cos(t_top), np.sin(t_top)], axis=1)
     bot = np.stack([1.0 - np.cos(t_bot), 0.5 - np.sin(t_bot)], axis=1)
     x = np.concatenate([top, bot], axis=0)
@@ -40,11 +40,10 @@ def random_graph(n_v=10, edge_prob=0.3, feature_dim=4, classes=2, seed=0):
     Returns (edges, x: n_v x feature_dim, labels: n_v).
     """
     prng = Prng(seed).derive("random_graph")
-    edges = []
-    for i in range(n_v):
-        for j in range(i + 1, n_v):
-            if prng.uniform() < edge_prob:
-                edges.append((i, j))
+    # one draw per pair i < j in row-major order
+    iu, ju = np.triu_indices(n_v, 1)
+    keep = prng.uniforms(iu.size) < edge_prob
+    edges = list(zip(iu[keep].tolist(), ju[keep].tolist()))
     x = prng.normals((n_v, feature_dim))
     labels = np.array([prng.randint(classes) for _ in range(n_v)], dtype=int)
     return edges, x, labels

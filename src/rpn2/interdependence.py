@@ -306,42 +306,79 @@ def grid_structural_matrix(grid, shape, packing, mode="padding"):
     raise ValueError("unknown grid structural mode %r" % mode)
 
 
+def _uni_chain_bands(m, variant, hops):
+    """Coefficient c[k] of superdiagonal k of a uni chain matrix.
+
+    The uni one-hop shift A is nilpotent, so A^k is all ones on band k and
+    every variant is a finite sum of bands: exp(A) has 1/k! on band k (built
+    by the same successive division as the power series, so bit-identical to
+    it) and (I - A)^-1 is all ones on and above the diagonal.
+    """
+    if variant == "onehop":
+        return np.array([0.0, 1.0])[:m]
+    if variant == "multihop":
+        if hops < 0:
+            raise ValueError("hop count must be >= 0")
+        c = np.zeros(hops + 1)
+        c[hops] = 1.0
+        return c
+    if variant == "accumulative":
+        return np.ones(max(hops + 1, 0))
+    if variant == "exponential":
+        return np.divide.accumulate(np.r_[1.0, np.arange(1.0, m)])
+    if variant == "reciprocal":
+        return np.ones(m)
+    raise ValueError("unknown chain variant %r" % variant)
+
+
 def chain_structural_matrix(m, direction="uni", variant="onehop", hops=1,
                             include_self=False):
     """Chain relation matrix; uni one-hop is the superdiagonal shift, which is
     nilpotent (A^m = 0), making the exponential and reciprocal series finite.
+
+    Uni chains are written band by band in closed form (see
+    `_uni_chain_bands`): O(m^2) to zero the dense result plus O(m) per band,
+    with no matrix product or elimination. Bi chains keep the power series,
+    matrix powers and the elimination, since walk counts on a path graph have
+    no such closed form.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
     if variant in ("multihop", "accumulative") and hops >= m:
         raise ValueError("hop count must be < m")
-    a = np.zeros((m, m))
-    idx = np.arange(m - 1)
-    a[idx, idx + 1] = 1.0
-    if direction == "bi":
-        a[idx + 1, idx] = 1.0
-    elif direction != "uni":
-        raise ValueError("direction must be uni or bi")
-    if variant == "onehop":
-        out = a.copy()
-    elif variant == "multihop":
-        out = np.linalg.matrix_power(a, hops)
-    elif variant == "accumulative":
+    if direction == "uni":
         out = np.zeros((m, m))
-        term = np.eye(m)
-        for _ in range(hops + 1):
-            out += term
-            term = term @ a
-    elif variant == "exponential":
-        out = matrix_exp(a, nilpotency_hint=m if direction == "uni" else None)
-    elif variant == "reciprocal":
-        try:
-            out = solve(np.eye(m) - a, np.eye(m))
-        except Exception:
-            # bi-directional chain makes I - A singular
-            out = chain_structural_matrix(m, direction, "accumulative", m - 1)
+        flat = out.reshape(-1)
+        coefs = _uni_chain_bands(m, variant, hops)
+        for k in np.flatnonzero(coefs):
+            flat[k:(m - k) * m:m + 1] = coefs[k]
+    elif direction == "bi":
+        a = np.zeros((m, m))
+        idx = np.arange(m - 1)
+        a[idx, idx + 1] = 1.0
+        a[idx + 1, idx] = 1.0
+        if variant == "onehop":
+            out = a.copy()
+        elif variant == "multihop":
+            out = np.linalg.matrix_power(a, hops)
+        elif variant == "accumulative":
+            out = np.zeros((m, m))
+            term = np.eye(m)
+            for _ in range(hops + 1):
+                out += term
+                term = term @ a
+        elif variant == "exponential":
+            out = matrix_exp(a)
+        elif variant == "reciprocal":
+            try:
+                out = solve(np.eye(m) - a, np.eye(m))
+            except Exception:
+                # bi-directional chain makes I - A singular
+                out = chain_structural_matrix(m, direction, "accumulative", m - 1)
+        else:
+            raise ValueError("unknown chain variant %r" % variant)
     else:
-        raise ValueError("unknown chain variant %r" % variant)
+        raise ValueError("direction must be uni or bi")
     if include_self and variant in ("onehop", "multihop"):
         out = out + np.eye(m)
     return out

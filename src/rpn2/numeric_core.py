@@ -176,12 +176,27 @@ def norm(a, kind="frobenius"):
 # deterministic random stream
 
 
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
 def _splitmix64(x):
-    x = (x + 0x9E3779B97F4A7C15) & _MASK64
+    x = (x + _GAMMA) & _MASK64
     z = x
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
     return x, (z ^ (z >> 31)) & _MASK64
+
+
+def _splitmix64_block(state, n):
+    """Outputs 1..n of the stream at `state` as uint64: mix(state + k*gamma)."""
+    u64 = np.uint64
+    with np.errstate(over="ignore"):
+        z = u64(state) + u64(_GAMMA) * np.arange(1, n + 1, dtype=u64)
+        z = (z ^ (z >> u64(30))) * u64(_MIX1)
+        z = (z ^ (z >> u64(27))) * u64(_MIX2)
+    return z ^ (z >> u64(31))
 
 
 def _fnv1a(label):
@@ -192,10 +207,16 @@ def _fnv1a(label):
 
 
 class Prng:
-    """Counter-based splitmix64 stream.
+    """Counter-based splitmix64 stream (Steele, Lea & Flood, OOPSLA 2014).
 
     Identical seed gives an identical stream; independent streams for distinct
     purposes are derived with a text label.
+
+    Output k after state s is mix(s + k*gamma) mod 2^64, so `uniforms` and
+    `normals` draw a whole block as one numpy uint64 expression (O(n) vector
+    work, no per-draw Python call) and are bit-identical to the same number
+    of scalar `uniform` / `normal` calls, spare normal and final state
+    included; block and scalar calls interleave freely.
     """
 
     def __init__(self, seed):
@@ -227,12 +248,30 @@ class Prng:
         return rad * np.cos(2.0 * np.pi * u2)
 
     def uniforms(self, shape):
-        n = int(np.prod(shape))
-        return np.array([self.uniform() for _ in range(n)]).reshape(shape)
+        n = max(int(np.prod(shape)), 0)
+        z = _splitmix64_block(self._state, n)
+        self._state = (self._state + n * _GAMMA) & _MASK64
+        return ((z >> np.uint64(11)) * (2.0 ** -53)).reshape(shape)
 
     def normals(self, shape):
-        n = int(np.prod(shape))
-        return np.array([self.normal() for _ in range(n)]).reshape(shape)
+        n = max(int(np.prod(shape)), 0)
+        out = np.empty(n)
+        i = 0
+        if n and self._spare_normal is not None:
+            out[0] = self._spare_normal
+            self._spare_normal = None
+            i = 1
+        pairs = (n - i + 1) // 2
+        u = self.uniforms(2 * pairs)
+        rad = np.sqrt(-2.0 * np.log(np.maximum(u[0::2], 2.0 ** -53)))
+        theta = 2.0 * np.pi * u[1::2]
+        z = np.empty(2 * pairs)
+        z[0::2] = rad * np.cos(theta)
+        z[1::2] = rad * np.sin(theta)
+        out[i:] = z[:n - i]
+        if (n - i) % 2:
+            self._spare_normal = z[-1]
+        return out.reshape(shape)
 
     def randint(self, n):
         # rejection-free modulo is fine at our scales

@@ -441,15 +441,8 @@ def _sparse_projection(prng, m, k, s):
     if not (0.0 < s <= 1.0):
         raise ValueError("s must be in (0, 1]")
     mag = np.sqrt(1.0 / (s * k))
-    out = np.zeros((m, k))
-    for i in range(m):
-        for j in range(k):
-            u = prng.uniform()
-            if u < s / 2.0:
-                out[i, j] = mag
-            elif u < s:
-                out[i, j] = -mag
-    return out
+    u = prng.uniforms((m, k))
+    return np.where(u < s / 2.0, mag, np.where(u < s, -mag, 0.0))
 
 
 def sparse_projection_matrix(prng, m, k, s=1.0):

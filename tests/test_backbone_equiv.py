@@ -154,3 +154,24 @@ def test_recursive_rnn_differs_from_onehop():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
         be.build_equivalent("mlp", Prng(0))
+
+
+def _scalar_edges(prng, n, p):
+    """One scalar draw per pair i < j in row-major order."""
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if prng.uniform() < p:
+                edges.append((i, j))
+    return edges
+
+
+@pytest.mark.parametrize("nodes", [1, 2, 10, 23])
+def test_gnn_case_edges_match_scalar_loop(nodes):
+    a, b = Prng(2 ** 63 + 5), Prng(2 ** 63 + 5)
+    case = be.build_gnn_case(a, nodes=nodes)
+    graph = case["model"].layers[0].heads[0].inst_prior.variant.graph
+    assert graph.edges == _scalar_edges(b, nodes, 0.35)
+    assert case["x"].tobytes() == b.normals((nodes, 6)).tobytes()
+    b.normals((4, 6))
+    assert a.next_u64() == b.next_u64()

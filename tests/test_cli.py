@@ -178,3 +178,22 @@ def test_train_rejects_metric_head_fusion_that_cannot_learn(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "l0.h0.c0.psi" in err and "l0.h1.c0.psi" in err
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("strategy", ["weighted_sum", "concat_linear", "bogus"])
+def test_train_rejects_head_fusion_the_config_cannot_express(tmp_path, capsys,
+                                                             strategy):
+    head = {"m": 2, "n": 2,
+            "reconciliation": {"method": "identity", "n": 2, "D": 2}}
+    cfg_obj = {"model": {"layers": [{"heads": [head, head],
+                                     "head_fusion": strategy}]},
+               "data": {"kind": "two_moons", "n": 40, "noise": 0.1, "seed": 7},
+               "train": {"loss": "cross_entropy", "epochs": 5, "seed": 5},
+               "outputs": {"metrics": str(tmp_path / "m.csv"),
+                           "checkpoint": str(tmp_path / "c.json")}}
+    cfg = _write(tmp_path / "t.json", cfg_obj)
+    assert _run(["train", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert strategy in err and "average, sum, hadamard, metric" in err
+    assert not (tmp_path / "m.csv").exists()
+    assert not (tmp_path / "c.json").exists()

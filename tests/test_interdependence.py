@@ -219,6 +219,78 @@ def test_chain_exponential_equals_nilpotent_series():
     assert np.array_equal(got, series)
 
 
+def _solve_oracle(a, b):
+    """Gaussian elimination with partial pivoting, as the uni reciprocal chain
+    was built before its closed form."""
+    n = a.shape[0]
+    m = np.hstack([a.astype(float), b.astype(float)])
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(m[k:, k])))
+        if piv != k:
+            m[[k, piv]] = m[[piv, k]]
+        factors = m[k + 1:, k] / m[k, k]
+        m[k + 1:] -= factors[:, None] * m[k]
+    x = np.zeros((n, b.shape[1]))
+    for k in range(n - 1, -1, -1):
+        x[k] = (m[k, n:] - m[k, k + 1:n] @ x[k + 1:]) / m[k, k]
+    return x
+
+
+def _uni_chain_oracle(m, variant, hops, include_self):
+    """Uni chain matrices from their definitions: powers of the dense shift,
+    the finite exponential series and the elimination for (I - A)^-1."""
+    a = np.zeros((m, m))
+    idx = np.arange(m - 1)
+    a[idx, idx + 1] = 1.0
+    if variant == "onehop":
+        out = a.copy()
+    elif variant == "multihop":
+        out = np.linalg.matrix_power(a, hops)
+    elif variant == "accumulative":
+        out = np.zeros((m, m))
+        term = np.eye(m)
+        for _ in range(hops + 1):
+            out += term
+            term = term @ a
+    elif variant == "exponential":
+        out = np.eye(m)
+        term = np.eye(m)
+        for k in range(1, m):
+            term = term @ a / k
+            out += term
+    else:
+        out = _solve_oracle(np.eye(m) - a, np.eye(m))
+    if include_self and variant in ("onehop", "multihop"):
+        out = out + np.eye(m)
+    return out
+
+
+# m = 200 takes the exponential's 1/k! bands into subnormals and then to zero
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 9, 64, 130, 200])
+@pytest.mark.parametrize("variant", ["onehop", "multihop", "accumulative",
+                                     "exponential", "reciprocal"])
+def test_uni_chain_closed_form_is_bit_identical_to_definition(m, variant):
+    hop_counts = sorted({0, 1, 2, 3, m // 2, m - 1} & set(range(m)))
+    if variant in ("onehop", "exponential", "reciprocal"):
+        hop_counts = [1]
+    for hops in hop_counts:
+        for include_self in (False, True):
+            got = itd.chain_structural_matrix(m, "uni", variant, hops, include_self)
+            want = _uni_chain_oracle(m, variant, hops, include_self)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (m, variant, hops, include_self)
+
+
+def test_uni_chain_hop_count_checks():
+    for variant in ("multihop", "accumulative"):
+        with pytest.raises(ValueError):
+            itd.chain_structural_matrix(4, "uni", variant, 4)
+    with pytest.raises(ValueError):
+        itd.chain_structural_matrix(4, "uni", "multihop", -1)
+    with pytest.raises(ValueError):
+        itd.chain_structural_matrix(4, "uni", "bogus")
+
+
 def test_chain_reciprocal_uni_and_bi_fallback():
     m = 6
     uni = itd.chain_structural_matrix(m, variant="reciprocal")

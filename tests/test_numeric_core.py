@@ -145,6 +145,56 @@ def test_prng_randint_and_choice():
     assert picks == [1] * 20
 
 
+def _scalar_uniforms(p, n):
+    return np.array([p.uniform() for _ in range(n)])
+
+
+def _scalar_normals(p, n):
+    return np.array([p.normal() for _ in range(n)])
+
+
+# seeds above 2**63 set the top bit that a signed 64-bit type would lose
+_SEEDS = st.one_of(st.integers(0, 2 ** 64 - 1), st.integers(2 ** 63, 2 ** 64 - 1))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEEDS, st.integers(0, 2000))
+def test_uniforms_block_equals_scalar_stream(seed, n):
+    a, b = Prng(seed), Prng(seed)
+    assert a.uniforms(n).tobytes() == _scalar_uniforms(b, n).tobytes()
+    assert a.next_u64() == b.next_u64()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEEDS, st.integers(0, 1000))
+def test_odd_normals_block_leaves_the_scalar_spare(seed, k):
+    n = 2 * k + 1
+    a, b = Prng(seed), Prng(seed)
+    assert a.normals(n).tobytes() == _scalar_normals(b, n).tobytes()
+    assert np.float64(a.normal()).tobytes() == np.float64(b.normal()).tobytes()
+    assert a.next_u64() == b.next_u64()
+
+
+@settings(max_examples=40, deadline=None)
+@given(_SEEDS, st.integers(0, 2000))
+def test_normals_block_consumes_a_pending_spare(seed, n):
+    a, b = Prng(seed), Prng(seed)
+    assert np.float64(a.normal()).tobytes() == np.float64(b.normal()).tobytes()
+    assert a.normals(n).tobytes() == _scalar_normals(b, n).tobytes()
+    assert np.float64(a.normal()).tobytes() == np.float64(b.normal()).tobytes()
+    assert a.next_u64() == b.next_u64()
+
+
+def test_block_draws_keep_shape_and_interleave():
+    a, b = Prng(3), Prng(3)
+    got = [a.uniforms((4, 5)), a.normals((3, 3)), a.uniforms(0), a.normals((2, 1))]
+    want = [_scalar_uniforms(b, 20).reshape(4, 5), _scalar_normals(b, 9).reshape(3, 3),
+            _scalar_uniforms(b, 0), _scalar_normals(b, 2).reshape(2, 1)]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.tobytes() == w.tobytes()
+    assert a.next_u64() == b.next_u64()
+
+
 # ---------------------------------------------------------------------------
 # tape: finite differences per op
 

@@ -276,6 +276,30 @@ def test_sparse_projection_degenerate_density():
         tf.sparse_projection_matrix(Prng(1), 5, 2, s=0.0)
 
 
+def _sparse_projection_oracle(prng, m, k, s):
+    """One scalar draw per entry in row-major order."""
+    mag = np.sqrt(1.0 / (s * k))
+    out = np.zeros((m, k))
+    for i in range(m):
+        for j in range(k):
+            u = prng.uniform()
+            if u < s / 2.0:
+                out[i, j] = mag
+            elif u < s:
+                out[i, j] = -mag
+    return out
+
+
+@pytest.mark.parametrize("m,k,s", [(1, 1, 1.0), (5, 3, 1.0), (17, 9, 0.3),
+                                   (64, 7, 1.0 / 3.0), (0, 4, 0.5)])
+def test_sparse_projection_matches_scalar_loop(m, k, s):
+    a, b = Prng(11), Prng(11)
+    got = tf.sparse_projection_matrix(a, m, k, s)
+    want = _sparse_projection_oracle(b, m, k, s)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert a.next_u64() == b.next_u64()
+
+
 def test_projection_state_frozen():
     rng = np.random.default_rng(8)
     x = rng.standard_normal((5, 20))
