@@ -144,25 +144,26 @@ def _axis_centers(extent, dist):
     return seen
 
 
-def packing_centers(grid, packing, shape=None):
+def _center_array(grid, packing, shape):
+    """Packing centers as an (n, 3) int64 array: rows of centers in order,
+    then columns, then depth."""
     dh, dw, dd = packing.resolve(shape) if (packing.strategy and shape is not None) \
         else (packing.d_h, packing.d_w, packing.d_d)
-    his = _axis_centers(grid.h, dh)
-    wjs = _axis_centers(grid.w, dw)
-    dks = _axis_centers(grid.d, dd)
-    hexagonal = "hexagonal" in packing.strategy
-    half = int(math.floor(dw / 2.0 + 0.5))
-    centers = []
-    for row, i in enumerate(his):
+    his, wjs, dks = (np.array(_axis_centers(extent, dist), dtype=np.int64)
+                     for extent, dist in ((grid.h, dh), (grid.w, dw), (grid.d, dd)))
+    i, j, k = np.meshgrid(his, wjs, dks, indexing="ij")
+    if "hexagonal" in packing.strategy:
         # hexagonal packings shift every other row by half the column distance
-        off = half if (hexagonal and row % 2 == 1) else 0
-        for j in wjs:
-            for k in dks:
-                centers.append((i, j + off, k))
+        j = j + int(math.floor(dw / 2.0 + 0.5)) * (np.arange(his.size) % 2)[:, None, None]
+    centers = np.stack([i, j, k], axis=-1).reshape(-1, 3)
     if packing.clip_out_of_grid:
-        centers = [(i, j, k) for (i, j, k) in centers
-                   if i < grid.h and j < grid.w and k < grid.d]
+        centers = centers[(centers[:, 0] < grid.h) & (centers[:, 1] < grid.w)
+                          & (centers[:, 2] < grid.d)]
     return centers
+
+
+def packing_centers(grid, packing, shape=None):
+    return [tuple(c) for c in _center_array(grid, packing, shape).tolist()]
 
 
 def patch_count(grid, packing, shape=None):
@@ -189,6 +190,23 @@ def patch_cells(center, offsets, grid):
     return cells
 
 
+def patch_index(grid, shape, packing):
+    """Flat cell index of every patch slot: row c, column s is the cell at
+    center c (packing_centers order) plus offset s (patch_offsets order), or
+    grid.size where that cell falls outside the grid (the zero-pad slot).
+    Centers and offsets are broadcast against each other, with no loop over
+    cells."""
+    offsets = np.asarray(patch_offsets(shape), dtype=np.int64).reshape(-1, 3)
+    centers = _center_array(grid, packing, shape)
+    flat = np.zeros((len(centers), len(offsets)), dtype=np.int64)
+    inside = np.ones(flat.shape, dtype=bool)
+    for axis, extent in enumerate((grid.h, grid.w, grid.d)):
+        coord = centers[:, axis, None] + offsets[None, :, axis]
+        inside &= (coord >= 0) & (coord < extent)
+        flat = flat * extent + coord
+    return np.where(inside, flat, grid.size)
+
+
 def coverage_stats(grid, shape, packing, boundary_margin=None):
     """Fraction of (interior) cells covered by at least one patch plus the
     mean per-patch overlap fraction.
@@ -196,21 +214,13 @@ def coverage_stats(grid, shape, packing, boundary_margin=None):
     The margin keeps boundary truncation out of the estimate so the discrete
     ratio can be compared against the continuum packing densities.
     """
-    offsets = np.asarray(patch_offsets(shape), dtype=int)
-    centers = packing_centers(grid, packing, shape)
-    if len(centers) < 4:
+    idx = patch_index(grid, shape, packing)
+    if idx.shape[0] < 4:
         raise ValueError("degenerate grid: fewer than 4 patches fit")
-    counts = np.zeros((grid.h, grid.w, grid.d), dtype=int)
-    per_patch = []
-    dims = np.array([grid.h, grid.w, grid.d])
-    strides = np.array([grid.w * grid.d, grid.d, 1])
-    for c in centers:
-        coords = offsets + np.asarray(c, dtype=int)
-        ok = np.all((coords >= 0) & (coords < dims), axis=1)
-        cells = coords[ok] @ strides
-        per_patch.append(cells)
-        if cells.size:
-            np.add.at(counts.reshape(-1), cells, 1)
+    inside = idx < grid.size
+    # patches per cell, plus a last bin for the pad slots, which `inside` masks
+    flat_counts = np.bincount(idx.reshape(-1), minlength=grid.size + 1)
+    counts = flat_counts[:-1].reshape(grid.h, grid.w, grid.d)
     if boundary_margin is None:
         if isinstance(shape, Cuboid):
             boundary_margin = max(shape.p_h, shape.p_h2, shape.p_w, shape.p_w2,
@@ -223,12 +233,8 @@ def coverage_stats(grid, shape, packing, boundary_margin=None):
     ds = slice(m, grid.d - m) if grid.d > 2 * m else slice(0, grid.d)
     region = counts[hs, ws, ds]
     coverage = float((region > 0).sum()) / region.size
-    flat_counts = counts.reshape(-1)
-    overlaps = []
-    for cells in per_patch:
-        if cells.size == 0:
-            continue
-        shared = np.count_nonzero(flat_counts[cells] > 1)
-        overlaps.append(shared / cells.size)
+    sizes = inside.sum(axis=1)
+    shared = ((flat_counts[idx] > 1) & inside).sum(axis=1)
+    overlaps = shared[sizes > 0] / sizes[sizes > 0]
     return {"coverage_ratio": coverage,
-            "mean_overlap_ratio": float(np.mean(overlaps)) if overlaps else 0.0}
+            "mean_overlap_ratio": float(np.mean(overlaps)) if overlaps.size else 0.0}

@@ -283,27 +283,22 @@ def grid_structural_matrix(grid, shape, packing, mode="padding"):
 
     padding mode: one block of columns per packing center, one 1 per in-grid
     patch cell (columns = p * p_count). aggregation mode: one column per
-    center accumulating its patch members (columns = p_count).
+    center accumulating its patch members (columns = p_count). Built from
+    the in-grid slots of gg.patch_index.
     """
-    offsets = gg.patch_offsets(shape)
-    p = len(offsets)
-    centers = gg.packing_centers(grid, packing, shape)
-    m = grid.size
-    trips = []
+    idx = gg.patch_index(grid, shape, packing)
+    p_count, p = idx.shape
     if mode == "padding":
-        for ci, center in enumerate(centers):
-            base = ci * p
-            for slot, (di, dj, dk) in enumerate(offsets):
-                i, j, k = center[0] + di, center[1] + dj, center[2] + dk
-                if 0 <= i < grid.h and 0 <= j < grid.w and 0 <= k < grid.d:
-                    trips.append((gg.index_of((i, j, k), grid), base + slot, 1.0))
-        return SparseCoo(m, p * len(centers), trips)
-    if mode == "aggregation":
-        for ci, center in enumerate(centers):
-            for cell in gg.patch_cells(center, offsets, grid):
-                trips.append((cell, ci, 1.0))
-        return SparseCoo(m, len(centers), trips)
-    raise ValueError("unknown grid structural mode %r" % mode)
+        cols = np.arange(p_count * p).reshape(p_count, p)
+        width = p_count * p
+    elif mode == "aggregation":
+        cols = np.repeat(np.arange(p_count), p).reshape(p_count, p)
+        width = p_count
+    else:
+        raise ValueError("unknown grid structural mode %r" % mode)
+    inside = idx < grid.size
+    return SparseCoo.from_arrays(grid.size, width, idx[inside], cols[inside],
+                                 np.ones(np.count_nonzero(inside)))
 
 
 def _uni_chain_bands(m, variant, hops):
@@ -317,13 +312,11 @@ def _uni_chain_bands(m, variant, hops):
     if variant == "onehop":
         return np.array([0.0, 1.0])[:m]
     if variant == "multihop":
-        if hops < 0:
-            raise ValueError("hop count must be >= 0")
         c = np.zeros(hops + 1)
         c[hops] = 1.0
         return c
     if variant == "accumulative":
-        return np.ones(max(hops + 1, 0))
+        return np.ones(hops + 1)
     if variant == "exponential":
         return np.divide.accumulate(np.r_[1.0, np.arange(1.0, m)])
     if variant == "reciprocal":
@@ -344,8 +337,10 @@ def chain_structural_matrix(m, direction="uni", variant="onehop", hops=1,
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if variant in ("multihop", "accumulative") and hops >= m:
-        raise ValueError("hop count must be < m")
+    if variant in ("multihop", "accumulative"):
+        _check_hops(hops)
+        if hops >= m:
+            raise ValueError("hop count must be < m")
     if direction == "uni":
         out = np.zeros((m, m))
         flat = out.reshape(-1)
@@ -384,8 +379,15 @@ def chain_structural_matrix(m, direction="uni", variant="onehop", hops=1,
     return out
 
 
+def _check_hops(hops):
+    if hops < 0:
+        raise ValueError("hop count %d must be >= 0" % hops)
+
+
 def graph_structural_matrix(graph, variant="adjacency", hops=1, alpha=0.15,
                             normalization="none"):
+    if variant in ("multihop", "accumulative"):
+        _check_hops(hops)
     a = graph.adjacency()
     if normalization == "row_selfloop":
         a = normalize_adjacency(a)

@@ -10,9 +10,13 @@ Each component is implemented once, on the tape; the numpy entry points
 code on a gradient-free tape.
 
 Parameter-free interdependence matrices are constants of the batch (no
-gradient flows through them). Parametric ones are differentiated in their
-parameters and in the data they read: bilinear variants and `RpnHead`, whose
-expansion runs through `_expand_node`. A `Hybrid` builds each child on the
+gradient flows through them). A sparse one, such as a grid matrix, stays a
+`SparseCoo` at its station: `Node.matmul` applies it with
+`SparseCoo.rmatmul` and back-propagates through its transpose, so the head
+never densifies it (a post_norm, a `Hybrid` child and the diagnostics' SVD
+still do). Parametric ones are differentiated in their parameters and in
+the data they read: bilinear variants and `RpnHead`, whose expansion runs
+through `_expand_node`. A `Hybrid` builds each child on the
 tape and fuses them with `fusion.fuse_nodes`, so its parametric children are
 trained. `metric` fusion is value-only: nothing upstream of it gets a
 gradient, and `train` rejects a config whose parameters would never learn.
@@ -26,7 +30,7 @@ from . import fusion as fu
 from . import interdependence as itd
 from . import reconciliation as rc
 from . import transformation as tf
-from .numeric_core import (Tape, as_dense, blocks_dot, concat_nodes,
+from .numeric_core import (SparseCoo, Tape, blocks_dot, concat_nodes,
                            cross_entropy_node, norm, softmax_node)
 
 
@@ -140,13 +144,15 @@ def make_param_nodes(tape, store):
 def build_interdep_node(spec, x_node, param_node):
     """Relation matrix as a tape node. Parametric variants and hybrids are
     differentiated in their parameters and data; parameter-free variants are
-    constants of the batch. x_node may be None for variants that ignore the
-    data, param_node for parameter-free specs."""
+    constants of the batch, and a sparse one is returned as the `SparseCoo`
+    itself. x_node may be None for variants that ignore the data, param_node
+    for parameter-free specs."""
     tape = (x_node if x_node is not None else param_node).tape
     v = spec.variant
     if not isinstance(v, itd.TAPE_VARIANTS):
         x = None if x_node is None else x_node.value
-        return tape.constant(as_dense(itd.build_matrix(spec, x)))
+        a = itd.build_matrix(spec, x)
+        return a if isinstance(a, SparseCoo) else tape.constant(a)
     if param_node is None:
         param_node = tape.constant(np.zeros(0))
     if isinstance(v, (itd.Bilinear, itd.LowRankBilinear, itd.RpnHead)):
@@ -185,8 +191,8 @@ def build_interdep_node(spec, x_node, param_node):
             if not isinstance(child, itd.InterdependenceSpec):
                 child = itd.InterdependenceSpec(child, axis=spec.axis)
             need = itd.param_length(child)
-            mats.append(build_interdep_node(child, x_node,
-                                            param_node.take(used, used + need)))
+            a = build_interdep_node(child, x_node, param_node.take(used, used + need))
+            mats.append(tape.constant(a.to_dense()) if isinstance(a, SparseCoo) else a)
             used += need
         a = fu.fuse_nodes(mats, v.fusion)
     return itd.post_norm_node(a, spec.post_norm, spec.norm_r)
@@ -221,6 +227,13 @@ def _expand_node(cur, spec):
                         axis=1)
 
 
+def _instance_apply(a, cur):
+    """stored.T @ cur; a sparse stored matrix runs as (cur.T @ stored).T."""
+    if isinstance(a, SparseCoo):
+        return cur.transpose().matmul(a).transpose()
+    return a.transpose().matmul(cur)
+
+
 def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
     tape = x_node.tape
     cur = _apply_processor(x_node, head.processors.get("input"))
@@ -244,10 +257,11 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
         cur = cur.matmul(a_post)
     a_ip = interdep("inst_prior")
     if a_ip is not None:
-        cur = a_ip.transpose().matmul(cur)
+        cur = _instance_apply(a_ip, cur)
     if trace is not None and a_ip is not None:
         trace.setdefault("instance_matrices", []).append(
-            ("l%d.h%d.inst_prior" % (k, h), a_ip.value))
+            ("l%d.h%d.inst_prior" % (k, h),
+             a_ip.to_dense() if isinstance(a_ip, SparseCoo) else a_ip.value))
 
     spec = head.reconciliation
     outs = []
@@ -271,7 +285,7 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
         out = fu.fuse_nodes(outs, head.channel_fusion, cf_param)
     a_iq = interdep("inst_post")
     if a_iq is not None:
-        out = a_iq.transpose().matmul(out)
+        out = _instance_apply(a_iq, out)
 
     if head.remainder == "identity":
         if head.m != head.n and not head.dup_blocks:

@@ -26,56 +26,119 @@ def as_dense(a):
 
 
 class SparseCoo:
-    """Canonical COO matrix: duplicate triplets summed, explicit zeros dropped."""
+    """Canonical COO matrix: duplicate triplets summed, explicit zeros dropped.
+
+    `rows` and `cols` are the dimensions. The entries are three arrays sorted
+    by (row, col): int64 `row_idx` and `col_idx` and float64 `vals`.
+    """
 
     def __init__(self, rows, cols, triplets=()):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.rows = int(rows)
         self.cols = int(cols)
-        acc = {}
-        for i, j, v in triplets:
-            i = int(i)
-            j = int(j)
-            if not (0 <= i < self.rows and 0 <= j < self.cols):
-                raise IndexError("triplet index out of range")
-            acc[(i, j)] = acc.get((i, j), 0.0) + float(v)
-        self._entries = {k: v for k, v in acc.items() if v != 0.0}
+        trips = list(triplets)
+        self._set_entries([t[0] for t in trips], [t[1] for t in trips],
+                          [float(t[2]) for t in trips])
+
+    @classmethod
+    def from_arrays(cls, rows, cols, row_idx, col_idx, vals):
+        """Same canonical form as the triplet constructor, from index and
+        value arrays taken in triplet order."""
+        out = cls(rows, cols)
+        out._set_entries(row_idx, col_idx, vals)
+        return out
+
+    def _set_entries(self, i, j, v):
+        # A stable sort keeps the entries of one (row, col) in the order
+        # given. np.add.at then sums them one after another from 0.0, which
+        # np.add.reduceat would not: it adds a run's tail pairwise.
+        i = np.asarray(i).astype(np.int64).reshape(-1)
+        j = np.asarray(j).astype(np.int64).reshape(-1)
+        v = np.asarray(v, dtype=float).reshape(-1)
+        if i.size and (min(i.min(), j.min()) < 0
+                       or i.max() >= self.rows or j.max() >= self.cols):
+            raise IndexError("triplet index out of range")
+        order = np.lexsort((j, i))
+        i, j, v = i[order], j[order], v[order]
+        first = np.ones(i.size, dtype=bool)
+        first[1:] = (i[1:] != i[:-1]) | (j[1:] != j[:-1])
+        sums = np.zeros(np.count_nonzero(first))
+        np.add.at(sums, np.cumsum(first) - 1, v)
+        keep = sums != 0.0
+        self.row_idx = i[first][keep]
+        self.col_idx = j[first][keep]
+        self.vals = sums[keep]
 
     @property
     def nnz(self):
-        return len(self._entries)
+        return self.vals.size
 
     @property
     def triplets(self):
-        return sorted((i, j, v) for (i, j), v in self._entries.items())
+        return list(zip(self.row_idx.tolist(), self.col_idx.tolist(), self.vals.tolist()))
 
     @classmethod
     def from_dense(cls, a, tol=0.0):
         a = np.asarray(a, dtype=float)
         ii, jj = np.nonzero(np.abs(a) > tol)
-        return cls(a.shape[0], a.shape[1], [(i, j, a[i, j]) for i, j in zip(ii, jj)])
+        return cls.from_arrays(a.shape[0], a.shape[1], ii, jj, a[ii, jj])
 
     def to_dense(self):
         out = np.zeros((self.rows, self.cols))
-        for (i, j), v in self._entries.items():
-            out[i, j] = v
+        out[self.row_idx, self.col_idx] = self.vals
+        return out
+
+    def rmatmul(self, x):
+        """x @ self for a dense b x rows batch, without densifying self.
+
+        Each column's entries are added in row order, starting from 0.0, one
+        vectorised pass per entry rank. The first pass gathers every column's
+        first entry straight into the result (an empty column gathers an
+        appended zero column), so a 0/1 matrix with one entry per column,
+        such as a grid padding matrix, costs one gather and reproduces the
+        dense product exactly. Pass k adds the k-th entry of each column that
+        has one. The result is a new C-contiguous array.
+        """
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 2 or x.shape[1] != self.rows:
+            raise ValueError("dimension mismatch: %s x (%d, %d)"
+                             % (x.shape, self.rows, self.cols))
+        order = np.argsort(self.col_idx, kind="stable")
+        col = self.col_idx[order]
+        pos = np.arange(col.size)
+        first = np.ones(col.size, dtype=bool)
+        first[1:] = col[1:] != col[:-1]
+        rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+        src = np.full(self.cols, self.rows)
+        src[col[first]] = self.row_idx[order[first]]
+        scale = np.zeros(self.cols)
+        scale[col[first]] = self.vals[order[first]]
+        out = np.take(np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1), src, axis=1)
+        out *= scale
+        out += 0.0  # the sum from 0.0 turns a -0.0 product into 0.0
+        later = np.flatnonzero(rank)
+        later = order[later[np.argsort(rank[later], kind="stable")]]
+        lo = 0
+        for count in np.bincount(rank)[1:]:
+            e = later[lo:lo + count]
+            lo += count
+            cols = self.col_idx[e]
+            terms = np.take(x, self.row_idx[e], axis=1)
+            terms *= self.vals[e]
+            terms += out[:, cols]
+            out[:, cols] = terms
         return out
 
     def matmul_dense(self, b):
         b = np.asarray(b, dtype=float)
-        if self.cols != b.shape[0]:
+        if b.ndim != 2 or self.cols != b.shape[0]:
             raise ValueError("dimension mismatch")
-        out = np.zeros((self.rows, b.shape[1]))
-        if self._entries:
-            keys = np.array(list(self._entries.keys()), dtype=int)
-            vals = np.array(list(self._entries.values()))
-            np.add.at(out, keys[:, 0], vals[:, None] * b[keys[:, 1]])
-        return out
+        return self.transpose().rmatmul(b.T).T
 
     def transpose(self):
-        return SparseCoo(self.cols, self.rows,
-                         [(j, i, v) for (i, j), v in self._entries.items()])
+        return SparseCoo.from_arrays(self.cols, self.rows, self.col_idx, self.row_idx,
+                                     self.vals)
 
     def to_matrix_market(self):
         lines = ["%%MatrixMarket matrix coordinate real general",
@@ -359,6 +422,10 @@ class Node:
         return Node(self.tape, self.value.reshape(-1)[lo:hi], [(self, vjp)])
 
     def matmul(self, other):
+        if isinstance(other, SparseCoo):
+            # parameter-free sparse constant: x @ S forward, g @ S^T back
+            return Node(self.tape, other.rmatmul(self.value),
+                        [(self, lambda g: other.transpose().rmatmul(g))])
         other = self.tape.lift(other)
         if self.value.shape[-1] != other.value.shape[0]:
             raise ValueError("dimension mismatch in matmul")

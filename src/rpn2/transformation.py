@@ -230,76 +230,95 @@ def compress_elementwise(x, method, matrix=None):
 
 
 def _patch_map(vals, mapping, kind):
+    """The mapping reduced along the last (patch) axis of `vals`; a 1-D patch
+    gives a scalar."""
     if mapping == "norm":
         p = kind
         if p == 1:
-            return float(np.sum(np.abs(vals)))
-        if p == 2:
-            return float(np.sqrt(np.sum(vals ** 2)))
-        if p in ("inf", np.inf):
-            return float(np.max(np.abs(vals))) if vals.size else 0.0
-        raise ValueError("norm p must be 1, 2 or inf")
-    if mapping == "entropy":
+            out = np.sum(np.abs(vals), axis=-1)
+        elif p == 2:
+            out = np.sqrt(np.sum(vals ** 2, axis=-1))
+        elif p in ("inf", np.inf):
+            out = np.max(np.abs(vals), axis=-1, initial=0.0)
+        else:
+            raise ValueError("norm p must be 1, 2 or inf")
+    elif mapping == "entropy":
         if np.any(vals <= 0):
             raise ValueError("entropy mapping needs positive patch values")
-        p = vals / vals.sum()
-        return float(-np.sum(p * np.log(p)))
-    if mapping == "metric":
+        p = vals / vals.sum(axis=-1, keepdims=True)
+        out = -np.sum(p * np.log(p), axis=-1)
+    elif mapping == "metric":
         if kind == "variance":
-            return float(np.var(vals))
-        if kind == "std":
-            return float(np.std(vals))
-        if kind == "skewness":
-            sd = np.std(vals)
-            if sd == 0:
-                return 0.0
-            return float(np.mean(((vals - vals.mean()) / sd) ** 3))
-        raise ValueError("unknown metric kind %r" % kind)
-    if mapping == "operator":
-        if kind == "max":
-            return float(np.max(vals))
-        if kind == "min":
-            return float(np.min(vals))
-        if kind == "sum":
-            return float(np.sum(vals))
-        if kind == "prod":
-            return float(np.prod(vals))
-        if kind == "arith_mean":
-            return float(np.mean(vals))
+            out = np.var(vals, axis=-1)
+        elif kind == "std":
+            out = np.std(vals, axis=-1)
+        elif kind == "skewness":
+            sd = np.std(vals, axis=-1, keepdims=True)
+            flat = sd == 0
+            z = (vals - vals.mean(axis=-1, keepdims=True)) / np.where(flat, 1.0, sd)
+            out = np.where(flat[..., 0], 0.0, np.mean(z ** 3, axis=-1))
+        else:
+            raise ValueError("unknown metric kind %r" % kind)
+    elif mapping == "operator":
+        out = _patch_operator(vals, kind)
+    else:
+        raise ValueError("unknown patch mapping %r" % mapping)
+    return float(out) if np.ndim(out) == 0 else out
+
+
+def _patch_operator(vals, kind):
+    if kind == "max":
+        return np.max(vals, axis=-1)
+    if kind == "min":
+        return np.min(vals, axis=-1)
+    if kind == "sum":
+        return np.sum(vals, axis=-1)
+    if kind == "prod":
+        return np.prod(vals, axis=-1)
+    if kind == "arith_mean":
+        return np.mean(vals, axis=-1)
+    if kind in ("geo_mean", "harmonic_mean"):
+        # defined only for positive data; 0 for a patch with any value <= 0
+        bad = np.any(vals <= 0, axis=-1)
+        safe = np.where(vals <= 0, 1.0, vals)
         if kind == "geo_mean":
-            if np.any(vals <= 0):
-                return 0.0  # defined only for positive data
-            return float(np.exp(np.mean(np.log(vals))))
-        if kind == "harmonic_mean":
-            if np.any(vals <= 0):
-                return 0.0
-            return float(len(vals) / np.sum(1.0 / vals))
-        if kind == "median":
-            return float(np.median(vals))
-        if kind == "mode":
-            uniq, counts = np.unique(vals, return_counts=True)
-            return float(uniq[np.argmax(counts)])
-        raise ValueError("unknown operator kind %r" % kind)
-    raise ValueError("unknown patch mapping %r" % mapping)
+            out = np.exp(np.mean(np.log(safe), axis=-1))
+        else:
+            out = vals.shape[-1] / np.sum(1.0 / safe, axis=-1)
+        return np.where(bad, 0.0, out)
+    if kind == "median":
+        return np.median(vals, axis=-1)
+    if kind == "mode":
+        # smallest of the most frequent values: the first longest run of equal
+        # values in each sorted patch (NaNs form one run, as in np.unique)
+        s = np.sort(vals, axis=-1)
+        pos = np.arange(s.shape[-1])
+        new = np.ones(s.shape, dtype=bool)
+        new[..., 1:] = (s[..., 1:] != s[..., :-1]) & ~(np.isnan(s[..., 1:])
+                                                        & np.isnan(s[..., :-1]))
+        start = np.maximum.accumulate(np.where(new, pos, 0), axis=-1)
+        # argmax finds the first position where a run reaches its longest
+        best = np.argmax(pos - start, axis=-1)[..., None]
+        return np.take_along_axis(s, np.take_along_axis(start, best, axis=-1), axis=-1)[..., 0]
+    raise ValueError("unknown operator kind %r" % kind)
 
 
 def compress_patch(x, grid, shape, packing, mapping="operator", kind="max"):
-    """Per instance, per packing center: gather the (zero-padded) patch and
-    apply the scalar mapping. Output width = number of patches."""
+    """Per instance, per packing center: gather the zero-padded patch and
+    apply the mapping. Output width = number of patches.
+
+    One gather through gg.patch_index, with each patch's in-grid cells first
+    in offset order and its zero pads last, then one reduction along the
+    patch axis."""
     x = np.asarray(x, dtype=float)
     if x.shape[1] != grid.size:
         raise ValueError("batch width must equal the grid size")
-    offsets = gg.patch_offsets(shape)
-    centers = gg.packing_centers(grid, packing, shape)
-    p = len(offsets)
-    cols = []
-    for center in centers:
-        cells = gg.patch_cells(center, offsets, grid)
-        vals = np.zeros((x.shape[0], p))
-        if cells:
-            vals[:, : len(cells)] = x[:, cells]
-        cols.append([_patch_map(vals[i], mapping, kind) for i in range(x.shape[0])])
-    return np.asarray(cols, dtype=float).T
+    idx = gg.patch_index(grid, shape, packing)
+    idx = np.take_along_axis(idx, np.argsort(idx == grid.size, axis=1, kind="stable"), axis=1)
+    xpad = np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
+    # np.take keeps the gather C-contiguous, so each patch is reduced as one
+    # contiguous run, in the same order as a 1-D patch (x[:, idx] is not)
+    return np.asarray(_patch_map(np.take(xpad, idx, axis=1), mapping, kind), dtype=float)
 
 
 # -- incremental feature selection ------------------------------------------

@@ -197,3 +197,18 @@ def test_train_rejects_head_fusion_the_config_cannot_express(tmp_path, capsys,
     assert strategy in err and "average, sum, hadamard, metric" in err
     assert not (tmp_path / "m.csv").exists()
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("matrix", [
+    {"kind": "chain", "m": 4, "direction": "bi", "variant": "multihop", "hops": -1},
+    {"kind": "chain", "m": 4, "variant": "accumulative", "hops": -2},
+    {"kind": "graph", "n_nodes": 3, "edges": [[0, 1]], "variant": "multihop", "hops": -1},
+    {"kind": "graph", "n_nodes": 3, "edges": [[0, 1]], "variant": "accumulative",
+     "hops": -1},
+])
+def test_build_matrix_negative_hops_exit_4(tmp_path, capsys, matrix):
+    cfg = _write(tmp_path / "c.json", {"matrix": matrix})
+    out = tmp_path / "m.mtx"
+    assert _run(["build-matrix", "--config", cfg, "--out", str(out)]) == 4
+    assert "hop count %d" % matrix["hops"] in capsys.readouterr().err
+    assert not out.exists()

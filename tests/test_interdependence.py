@@ -417,3 +417,29 @@ def test_rpn_head_matches_parameterized():
     assert a.shape == (m, mp)
     want = (x.reshape(1, -1) @ w.reshape(m * mp, 6).T).reshape(m, mp)
     assert np.max(np.abs(a - want)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# negative hop counts
+
+
+@pytest.mark.parametrize("direction", ["uni", "bi"])
+@pytest.mark.parametrize("hops", [-1, -3])
+def test_chain_accumulative_rejects_negative_hops(direction, hops):
+    # used to return an all-zero matrix
+    with pytest.raises(ValueError, match=str(hops)):
+        itd.chain_structural_matrix(4, direction, "accumulative", hops)
+
+
+def test_bi_chain_multihop_rejects_negative_hops():
+    # used to return the inverse of the bi shift, with -1 entries
+    with pytest.raises(ValueError, match="-1"):
+        itd.chain_structural_matrix(4, "bi", "multihop", -1)
+
+
+@pytest.mark.parametrize("variant", ["multihop", "accumulative"])
+def test_graph_rejects_negative_hops(variant):
+    g = itd.Graph(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(ValueError, match="-1"):
+        itd.graph_structural_matrix(g, variant, -1)
+    assert np.array_equal(itd.graph_structural_matrix(g, variant, 0), np.eye(4))
