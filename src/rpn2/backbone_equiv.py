@@ -128,8 +128,7 @@ def build_cnn_case(prng, batch=4):
         reconciliation=rc.ReconciliationSpec("duplicated_padding", n=p_count,
                                              D=p * p_count, p=p, p_count=p_count),
         attr_prior=itd.InterdependenceSpec(
-            itd.GridStructural(grid, shape, packing, "padding")),
-        dup_blocks=(p_count, p))
+            itd.GridStructural(grid, shape, packing, "padding")))
     model = _single(head)
     store = md.ParameterStore()
     store.add_slot("l0.h0.c0.psi", (p,), kernel)

@@ -13,6 +13,8 @@ import numpy as np
 
 from . import backbone_equiv as be
 from . import datasets as ds
+from . import fusion as fu
+from . import grid_geometry as gg
 from . import interdependence as itd
 from . import model as md
 from . import reconciliation as rc
@@ -107,7 +109,7 @@ def cmd_gen_data(config, out, seed_override=None):
 # build-matrix
 
 
-def _matrix_from_config(spec, seed):
+def _matrix_from_config(spec):
     kind = _require(spec, "kind", "matrix")
     if kind == "identity":
         _check_keys(spec, {"kind", "m"}, "matrix")
@@ -130,7 +132,6 @@ def _matrix_from_config(spec, seed):
     if kind == "grid":
         _check_keys(spec, {"kind", "h", "w", "d", "shape", "packing", "mode"},
                     "matrix")
-        from . import grid_geometry as gg
         grid = gg.GridSpec(int(spec.get("h", 8)), int(spec.get("w", 8)),
                            int(spec.get("d", 1)))
         sh = spec.get("shape", {})
@@ -147,9 +148,7 @@ def _matrix_from_config(spec, seed):
 
 def cmd_build_matrix(config, out, seed_override=None):
     _check_keys(config, {"matrix", "seed"}, "")
-    spec = _require(config, "matrix", "")
-    seed = seed_override if seed_override is not None else config.get("seed", 0)
-    a = _matrix_from_config(spec, seed)
+    a = _matrix_from_config(_require(config, "matrix", ""))
     if not isinstance(a, SparseCoo):
         a = SparseCoo.from_dense(as_dense(a))
     with open(out, "w", encoding="utf-8") as fh:
@@ -240,7 +239,6 @@ def model_from_config(cfg):
             raise ConfigError(
                 "unsupported head_fusion %r at model.layers[%d]; expected one of %s"
                 % (strategy, li, ", ".join(_HEAD_FUSIONS)))
-        from . import fusion as fu
         layers.append(md.LayerConfig(heads, fu.FusionSpec(strategy)))
     return md.ModelConfig(layers)
 
@@ -319,9 +317,7 @@ def cmd_diagnose(config, out, seed_override=None):
     dspec = _require(config, "data", "")
     result = generate_dataset(dspec, seed_override)
     kind = dspec["kind"]
-    if kind == "two_moons":
-        x = result[0]
-    elif kind == "chain_series":
+    if kind in ("two_moons", "chain_series"):
         x = result[0]
     elif kind == "grid_images":
         x = result

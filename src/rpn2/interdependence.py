@@ -15,7 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import fusion as fu
 from . import grid_geometry as gg
+from . import reconciliation as rc
+from . import transformation as tf
 from .numeric_core import (SparseCoo, Tape, as_dense, l1_normalize_node, matrix_exp,
                            softmax_node, solve)
 
@@ -165,7 +168,6 @@ def param_length(spec):
     if isinstance(v, LowRankBilinear):
         return 2 * v.dim * v.rank
     if isinstance(v, RpnHead):
-        from . import reconciliation as rc
         return rc.param_length(v.reconciliation)
     if isinstance(v, Hybrid):
         return sum(param_length(c) for c in v.variants)
@@ -331,9 +333,12 @@ def chain_structural_matrix(m, direction="uni", variant="onehop", hops=1,
 
     Uni chains are written band by band in closed form (see
     `_uni_chain_bands`): O(m^2) to zero the dense result plus O(m) per band,
-    with no matrix product or elimination. Bi chains keep the power series,
-    matrix powers and the elimination, since walk counts on a path graph have
-    no such closed form.
+    with no matrix product or elimination. A bi chain is the path graph:
+    one-hop, multi-hop and accumulative are `graph_structural_matrix` on it,
+    the exponential is the power series and the reciprocal the elimination.
+    I - A is singular exactly when 1 = 2 cos(k pi / (m + 1)) is an eigenvalue
+    of the path, that is when 3 divides m + 1; the reciprocal then falls back
+    to the accumulative walk sum of m - 1 hops.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -348,28 +353,18 @@ def chain_structural_matrix(m, direction="uni", variant="onehop", hops=1,
         for k in np.flatnonzero(coefs):
             flat[k:(m - k) * m:m + 1] = coefs[k]
     elif direction == "bi":
-        a = np.zeros((m, m))
-        idx = np.arange(m - 1)
-        a[idx, idx + 1] = 1.0
-        a[idx + 1, idx] = 1.0
+        path = Graph(m, zip(range(m - 1), range(1, m)))
         if variant == "onehop":
-            out = a.copy()
-        elif variant == "multihop":
-            out = np.linalg.matrix_power(a, hops)
-        elif variant == "accumulative":
-            out = np.zeros((m, m))
-            term = np.eye(m)
-            for _ in range(hops + 1):
-                out += term
-                term = term @ a
+            out = path.adjacency()
+        elif variant in ("multihop", "accumulative"):
+            out = graph_structural_matrix(path, variant, hops)
         elif variant == "exponential":
-            out = matrix_exp(a)
+            out = matrix_exp(path.adjacency())
         elif variant == "reciprocal":
-            try:
-                out = solve(np.eye(m) - a, np.eye(m))
-            except Exception:
-                # bi-directional chain makes I - A singular
-                out = chain_structural_matrix(m, direction, "accumulative", m - 1)
+            if (m + 1) % 3 == 0:
+                out = graph_structural_matrix(path, "accumulative", m - 1)
+            else:
+                out = solve(np.eye(m) - path.adjacency(), np.eye(m))
         else:
             raise ValueError("unknown chain variant %r" % variant)
     else:
@@ -421,11 +416,6 @@ def graph_structural_matrix(graph, variant="adjacency", hops=1, alpha=0.15,
 # build dispatch
 
 
-# Variants differentiated on the tape (model.build_interdep_node); every
-# other variant is a parameter-free constant built here.
-TAPE_VARIANTS = (Parameterized, Bilinear, LowRankBilinear, RpnHead, Hybrid)
-
-
 def post_norm_node(a, post_norm, norm_r=1):
     """Row/column normalization of a relation-matrix tape node."""
     if post_norm == "none":
@@ -448,31 +438,19 @@ def apply_post_norm(a, post_norm, norm_r=1):
     return post_norm_node(Tape().constant(as_dense(a)), post_norm, norm_r).value
 
 
-def build_matrix(spec, x=None, params=None):
-    """Produce the relation matrix for a spec.
+def _fixed_matrix(spec, x):
+    """Post-normalized matrix of a parameter-free spec, built off the tape.
 
-    Instance-axis specs dispatch on the transposed batch; structural
-    instance-axis matrices are returned transposed so that the model's
+    Instance-axis specs dispatch on the transposed batch; graph matrices on
+    the instance axis are returned transposed so that the model's
     stored.T @ X convention applies the natural propagation direction.
-    Parametric variants and hybrids are evaluated by
-    model.build_interdep_node on a gradient-free tape.
     """
     v = spec.variant
-    need = param_length(spec)
-    if need and (params is None or np.asarray(params).size != need):
-        raise ValueError("expected %d parameters" % need)
-    if isinstance(v, TAPE_VARIANTS):
-        from .model import build_interdep_node
-        tape = Tape()
-        x_node = None if x is None else tape.constant(x)
-        p_node = tape.constant(np.zeros(0) if params is None else params)
-        return build_interdep_node(spec, x_node, p_node).value
     data = None
     if x is not None:
         data = np.asarray(x, dtype=float)
         if spec.axis == "instance":
             data = data.T
-
     if isinstance(v, Constant):
         a = v.matrix
     elif isinstance(v, Identity):
@@ -498,3 +476,77 @@ def build_matrix(spec, x=None, params=None):
     else:
         raise TypeError("unknown interdependence variant %r" % (v,))
     return apply_post_norm(a, spec.post_norm, spec.norm_r)
+
+
+def build_node(spec, x_node, param_node):
+    """Relation matrix of any spec as a tape node.
+
+    Parametric variants and hybrids are differentiated in their parameters
+    and in the data they read; `RpnHead` expands its data through
+    `transformation.expand_node`, and a `Hybrid` builds each child here and
+    fuses them with `fusion.fuse_nodes`. Parameter-free variants are
+    constants of the batch, and a sparse one is returned as the `SparseCoo`
+    itself. x_node may be None for variants that ignore the data, param_node
+    for parameter-free specs.
+    """
+    tape = (x_node if x_node is not None else param_node).tape
+    v = spec.variant
+    if not isinstance(v, (Parameterized, Bilinear, LowRankBilinear, RpnHead, Hybrid)):
+        a = _fixed_matrix(spec, None if x_node is None else x_node.value)
+        return a if isinstance(a, SparseCoo) else tape.constant(a)
+    if param_node is None:
+        param_node = tape.constant(np.zeros(0))
+    if isinstance(v, (Bilinear, LowRankBilinear, RpnHead)):
+        if x_node is None:
+            raise ValueError("%s interdependence needs a data batch" % type(v).__name__)
+        data = x_node.transpose() if spec.axis == "instance" else x_node
+    if isinstance(v, Parameterized):
+        if v.reconciliation == "full":
+            a = param_node.reshape((v.m, v.m_prime))
+        else:
+            na = v.m * v.rank
+            wa = param_node.take(0, na).reshape((v.m, v.rank))
+            wb = param_node.take(na, param_length(v)).reshape((v.m_prime, v.rank))
+            a = wa.matmul(wb.transpose())
+    elif isinstance(v, Bilinear):
+        w = param_node.reshape((v.dim, v.dim))
+        a = data.transpose().matmul(w).matmul(data)
+    elif isinstance(v, LowRankBilinear):
+        half = v.dim * v.rank
+        wp = param_node.take(0, half).reshape((v.dim, v.rank))
+        wq = param_node.take(half, 2 * half).reshape((v.dim, v.rank))
+        a = data.transpose().matmul(wp).matmul(data.transpose().matmul(wq).transpose())
+    elif isinstance(v, RpnHead):
+        # xi(X|w) = <kappa'(flatten(X)), psi'(w')> + pi', reshaped m x m_prime
+        flat = data.reshape((1, -1))
+        if flat.value.size != v.flat_len:
+            raise ValueError("batch size does not match declared flat length")
+        psi = rc.reconcile_node(v.reconciliation, param_node)
+        a = tf.expand_node(flat, v.expansion).matmul(psi.transpose())
+        if v.remainder is not None:
+            a = a + np.asarray(v.remainder, dtype=float).reshape(1, -1)
+        a = a.reshape((v.m, v.m_prime))
+    else:  # Hybrid: children built on the tape, then fused
+        mats, used = [], 0
+        for child in v.variants:
+            if not isinstance(child, InterdependenceSpec):
+                child = InterdependenceSpec(child, axis=spec.axis)
+            need = param_length(child)
+            a = build_node(child, x_node, param_node.take(used, used + need))
+            mats.append(tape.constant(a.to_dense()) if isinstance(a, SparseCoo) else a)
+            used += need
+        a = fu.fuse_nodes(mats, v.fusion)
+    return post_norm_node(a, spec.post_norm, spec.norm_r)
+
+
+def build_matrix(spec, x=None, params=None):
+    """Produce the relation matrix for a spec: build_node evaluated on a
+    gradient-free tape. A sparse parameter-free matrix stays a `SparseCoo`."""
+    need = param_length(spec)
+    if need and (params is None or np.asarray(params).size != need):
+        raise ValueError("expected %d parameters" % need)
+    tape = Tape()
+    x_node = None if x is None else tape.constant(x)
+    p_node = tape.constant(np.zeros(0) if params is None else params)
+    a = build_node(spec, x_node, p_node)
+    return a if isinstance(a, SparseCoo) else a.value

@@ -5,20 +5,19 @@ A head computes, per channel,
 plus the remainder of the head input, with processors applied at their
 stations. Heads are fused per layer, layers are stacked.
 
-Each component is implemented once, on the tape; the numpy entry points
-(`reconcile`, `fuse`, `build_matrix`, `apply_post_norm`) evaluate the same
-code on a gradient-free tape.
+The head only chains stations; each component dispatches its own variants
+on the tape: `interdependence.build_node` every relation matrix,
+`transformation.expand_node` the expansion and
+`reconciliation.reconciled_product` the per-channel product. The numpy entry
+points (`build_matrix`, `expand`, `reconcile`, `fuse`, `apply_post_norm`)
+evaluate the same code on a gradient-free tape.
 
 Parameter-free interdependence matrices are constants of the batch (no
 gradient flows through them). A sparse one, such as a grid matrix, stays a
 `SparseCoo` at its station: `Node.matmul` applies it with
 `SparseCoo.rmatmul` and back-propagates through its transpose, so the head
 never densifies it (a post_norm, a `Hybrid` child and the diagnostics' SVD
-still do). Parametric ones are differentiated in their parameters and in
-the data they read: bilinear variants and `RpnHead`, whose expansion runs
-through `_expand_node`. A `Hybrid` builds each child on the
-tape and fuses them with `fusion.fuse_nodes`, so its parametric children are
-trained. `metric` fusion is value-only: nothing upstream of it gets a
+still do). `metric` fusion is value-only: nothing upstream of it gets a
 gradient, and `train` rejects a config whose parameters would never learn.
 """
 
@@ -30,8 +29,8 @@ from . import fusion as fu
 from . import interdependence as itd
 from . import reconciliation as rc
 from . import transformation as tf
-from .numeric_core import (SparseCoo, Tape, blocks_dot, concat_nodes,
-                           cross_entropy_node, norm, softmax_node)
+from .numeric_core import (Prng, SparseCoo, Tape, cross_entropy_node, norm,
+                           softmax_node)
 
 
 @dataclass
@@ -48,8 +47,9 @@ class HeadConfig:
     inst_post: object = None
     channel_fusion: fu.FusionSpec = field(default_factory=lambda: fu.FusionSpec("sum"))
     processors: dict = field(default_factory=dict)  # input | expansion | output
-    # duplicated padding heads use the flexible blockwise path
-    dup_blocks: tuple = ()  # (p_count, p) when reconciliation is duplicated_padding
+    # (p_count, p) of a duplicated padding head; informational only, the
+    # blockwise product reads both from the reconciliation spec
+    dup_blocks: tuple = ()
 
 
 @dataclass
@@ -95,7 +95,6 @@ _INTERDEP_TAGS = ("attr_prior", "attr_post", "inst_prior", "inst_post")
 
 
 def init_store(model, seed=0):
-    from .numeric_core import Prng
     store = ParameterStore()
     prng = Prng(seed)
     for k, layer in enumerate(model.layers):
@@ -138,67 +137,6 @@ def make_param_nodes(tape, store):
 
 
 # ---------------------------------------------------------------------------
-# interdependence on the tape
-
-
-def build_interdep_node(spec, x_node, param_node):
-    """Relation matrix as a tape node. Parametric variants and hybrids are
-    differentiated in their parameters and data; parameter-free variants are
-    constants of the batch, and a sparse one is returned as the `SparseCoo`
-    itself. x_node may be None for variants that ignore the data, param_node
-    for parameter-free specs."""
-    tape = (x_node if x_node is not None else param_node).tape
-    v = spec.variant
-    if not isinstance(v, itd.TAPE_VARIANTS):
-        x = None if x_node is None else x_node.value
-        a = itd.build_matrix(spec, x)
-        return a if isinstance(a, SparseCoo) else tape.constant(a)
-    if param_node is None:
-        param_node = tape.constant(np.zeros(0))
-    if isinstance(v, (itd.Bilinear, itd.LowRankBilinear, itd.RpnHead)):
-        if x_node is None:
-            raise ValueError("%s interdependence needs a data batch" % type(v).__name__)
-        data = x_node.transpose() if spec.axis == "instance" else x_node
-    if isinstance(v, itd.Parameterized):
-        if v.reconciliation == "full":
-            a = param_node.reshape((v.m, v.m_prime))
-        else:
-            na = v.m * v.rank
-            wa = param_node.take(0, na).reshape((v.m, v.rank))
-            wb = param_node.take(na, itd.param_length(v)).reshape((v.m_prime, v.rank))
-            a = wa.matmul(wb.transpose())
-    elif isinstance(v, itd.Bilinear):
-        w = param_node.reshape((v.dim, v.dim))
-        a = data.transpose().matmul(w).matmul(data)
-    elif isinstance(v, itd.LowRankBilinear):
-        half = v.dim * v.rank
-        wp = param_node.take(0, half).reshape((v.dim, v.rank))
-        wq = param_node.take(half, 2 * half).reshape((v.dim, v.rank))
-        a = data.transpose().matmul(wp).matmul(data.transpose().matmul(wq).transpose())
-    elif isinstance(v, itd.RpnHead):
-        # xi(X|w) = <kappa'(flatten(X)), psi'(w')> + pi', reshaped m x m_prime
-        flat = data.reshape((1, -1))
-        if flat.value.size != v.flat_len:
-            raise ValueError("batch size does not match declared flat length")
-        psi = rc.reconcile_node(v.reconciliation, param_node)
-        a = _expand_node(flat, v.expansion).matmul(psi.transpose())
-        if v.remainder is not None:
-            a = a + np.asarray(v.remainder, dtype=float).reshape(1, -1)
-        a = a.reshape((v.m, v.m_prime))
-    else:  # Hybrid: children built on the tape, then fused
-        mats, used = [], 0
-        for child in v.variants:
-            if not isinstance(child, itd.InterdependenceSpec):
-                child = itd.InterdependenceSpec(child, axis=spec.axis)
-            need = itd.param_length(child)
-            a = build_interdep_node(child, x_node, param_node.take(used, used + need))
-            mats.append(tape.constant(a.to_dense()) if isinstance(a, SparseCoo) else a)
-            used += need
-        a = fu.fuse_nodes(mats, v.fusion)
-    return itd.post_norm_node(a, spec.post_norm, spec.norm_r)
-
-
-# ---------------------------------------------------------------------------
 # forward
 
 
@@ -216,17 +154,6 @@ def _apply_processor(node, tag):
     raise ValueError("unknown processor %r" % tag)
 
 
-def _expand_node(cur, spec):
-    if spec.family == "identity":
-        return cur
-    if spec.family == "wavelet":
-        # wavelet expansion is only supported at the network input
-        return cur.tape.constant(tf.expand_wavelet(cur.value, spec))
-    # polynomial recurrence, elementwise on the tape, degree-major blocks
-    return concat_nodes(tf.polynomial_columns(spec.family, cur, spec.d, spec.alpha),
-                        axis=1)
-
-
 def _instance_apply(a, cur):
     """stored.T @ cur; a sparse stored matrix runs as (cur.T @ stored).T."""
     if isinstance(a, SparseCoo):
@@ -235,7 +162,6 @@ def _instance_apply(a, cur):
 
 
 def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
-    tape = x_node.tape
     cur = _apply_processor(x_node, head.processors.get("input"))
     x_station = cur
 
@@ -245,12 +171,12 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
             return None
         pname = "l%d.h%d.%s" % (k, h, tag)
         pnode = param_nodes.get(pname)
-        return build_interdep_node(spec, x_station, pnode)
+        return itd.build_node(spec, x_station, pnode)
 
     a_ap = interdep("attr_prior")
     if a_ap is not None:
         cur = cur.matmul(a_ap)
-    cur = _expand_node(cur, head.expansion)
+    cur = tf.expand_node(cur, head.expansion)
     cur = _apply_processor(cur, head.processors.get("expansion"))
     a_post = interdep("attr_post")
     if a_post is not None:
@@ -263,21 +189,9 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
             ("l%d.h%d.inst_prior" % (k, h),
              a_ip.to_dense() if isinstance(a_ip, SparseCoo) else a_ip.value))
 
-    spec = head.reconciliation
-    outs = []
-    for c in range(head.channels):
-        w_node = param_nodes.get("l%d.h%d.c%d.psi" % (k, h, c))
-        if spec.method == "duplicated_padding":
-            outs.append(blocks_dot(cur, w_node, spec.p_count, spec.p))
-        else:
-            if w_node is None:  # constant_eye has no parameters
-                w_node = tape.constant(np.zeros(0))
-            psi = rc.reconcile_node(spec, w_node)
-            if cur.value.shape[1] != psi.value.shape[1]:
-                raise ValueError(
-                    "station reconciliation: expanded width %d != declared D %d"
-                    % (cur.value.shape[1], psi.value.shape[1]))
-            outs.append(cur.matmul(psi.transpose()))
+    outs = [rc.reconciled_product(cur, head.reconciliation,
+                                  param_nodes.get("l%d.h%d.c%d.psi" % (k, h, c)))
+            for c in range(head.channels)]
     if len(outs) == 1:
         out = outs[0]
     else:
@@ -288,7 +202,7 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
         out = _instance_apply(a_iq, out)
 
     if head.remainder == "identity":
-        if head.m != head.n and not head.dup_blocks:
+        if head.m != head.n:
             raise ValueError("identity remainder needs matching widths")
         out = out + x_station
     elif head.remainder == "linear":

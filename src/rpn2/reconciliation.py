@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric_core import Prng, Tape
+from .numeric_core import Prng, Tape, blocks_dot
 
 
 @dataclass(frozen=True)
@@ -118,5 +118,20 @@ def reconcile_node(spec, w_node):
         out = hidden.matmul(t.constant(fr.S)).matmul(t.constant(fr.T.T))
         return out.reshape((spec.n, spec.D))
     if spec.method == "duplicated_padding":
-        raise ValueError("duplicated_padding heads use numeric_core.blocks_dot")
+        raise ValueError("duplicated_padding runs blockwise in reconciled_product")
     raise ValueError("unknown reconciliation method %r" % spec.method)
+
+
+def reconciled_product(x, spec, w_node):
+    """One channel's x @ psi.T as a tape node. Duplicated padding runs
+    blockwise through numeric_core.blocks_dot; every other method
+    fabricates psi with reconcile_node. w_node is None for constant_eye."""
+    if spec.method == "duplicated_padding":
+        return blocks_dot(x, w_node, spec.p_count, spec.p)
+    if w_node is None:
+        w_node = x.tape.constant(np.zeros(0))
+    psi = reconcile_node(spec, w_node)
+    if x.value.shape[1] != psi.value.shape[1]:
+        raise ValueError("station reconciliation: expanded width %d != declared D %d"
+                         % (x.value.shape[1], psi.value.shape[1]))
+    return x.matmul(psi.transpose())

@@ -7,13 +7,14 @@ concatenate the degree blocks [P_1(X) .. P_d(X)], so the output width is m*d;
 the degree-0 constant column is excluded.
 """
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import grid_geometry as gg
-from .numeric_core import Node
+from .numeric_core import Node, Tape, concat_nodes
 
 
 @dataclass(frozen=True)
@@ -180,12 +181,22 @@ def expand_wavelet(x, spec):
     raise ValueError("wavelet order must be 1 or 2")
 
 
-def expand(x, spec):
+def expand_node(x, spec):
+    """Expansion of a b x m tape node. Polynomial families run their
+    recurrence elementwise on the tape (degree-major blocks); the wavelet
+    expansion is a constant, so it is only supported at the network input."""
     if spec.family == "identity":
-        return np.asarray(x, dtype=float)
+        return x
     if spec.family == "wavelet":
-        return expand_wavelet(x, spec)
-    return expand_polynomial(x, spec.family, spec.d, spec.alpha)
+        return x.tape.constant(expand_wavelet(x.value, spec))
+    if x.value.ndim != 2:
+        raise ValueError("expansion needs a b x m batch")
+    return concat_nodes(polynomial_columns(spec.family, x, spec.d, spec.alpha), axis=1)
+
+
+def expand(x, spec):
+    """expand_node evaluated on a gradient-free tape."""
+    return expand_node(Tape().constant(x), spec).value
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +516,6 @@ def compress_probabilistic(x, spec, prng):
     elif spec.mode == "combinatorial":
         if not (1 <= spec.tuple_k <= 3):
             raise ValueError("tuple order must be between 1 and 3")
-        import itertools
         tuples = []
         for order in range(1, spec.tuple_k + 1):
             tuples.extend(itertools.combinations(range(m), order))

@@ -212,3 +212,22 @@ def test_build_matrix_negative_hops_exit_4(tmp_path, capsys, matrix):
     assert _run(["build-matrix", "--config", cfg, "--out", str(out)]) == 4
     assert "hop count %d" % matrix["hops"] in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_build_matrix_singular_pagerank_exit_4(tmp_path, capsys):
+    # I - 0.5 A is singular on the triangle: 2 is an eigenvalue of K3
+    cfg = _write(tmp_path / "c.json", {"matrix": {
+        "kind": "graph", "n_nodes": 3, "edges": [[0, 1], [1, 2], [0, 2]],
+        "variant": "pagerank", "alpha": 0.5, "normalization": "none"}})
+    out = tmp_path / "m.mtx"
+    assert _run(["build-matrix", "--config", cfg, "--out", str(out)]) == 4
+    assert "pivot below threshold" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_build_matrix_accepts_seed_key(tmp_path):
+    cfg = _write(tmp_path / "c.json", {"matrix": {"kind": "identity", "m": 3},
+                                       "seed": 9})
+    out = tmp_path / "m.mtx"
+    assert _run(["build-matrix", "--config", cfg, "--out", str(out), "--seed", "4"]) == 0
+    assert json.loads((tmp_path / "m.mtx.stats.json").read_text())["nnz"] == 3

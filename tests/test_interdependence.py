@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from rpn2 import grid_geometry as gg
 from rpn2 import interdependence as itd
-from rpn2.numeric_core import SparseCoo, as_dense, matrix_exp
+from rpn2.numeric_core import SingularMatrixError, SparseCoo, as_dense, matrix_exp, solve
 
 
 def _spec(variant, **kw):
@@ -443,3 +443,70 @@ def test_graph_rejects_negative_hops(variant):
     with pytest.raises(ValueError, match="-1"):
         itd.graph_structural_matrix(g, variant, -1)
     assert np.array_equal(itd.graph_structural_matrix(g, variant, 0), np.eye(4))
+
+
+# ---------------------------------------------------------------------------
+# bi chains through the graph walk code
+
+
+def _bi_chain_oracle(m, variant, hops, include_self):
+    """The bi chain as it was built before it reused the graph walk code:
+    the dense path matrix, matrix_power, the accumulative loop, matrix_exp,
+    and the elimination with its fallback when I - A is singular."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if variant in ("multihop", "accumulative"):
+        if hops < 0 or hops >= m:
+            raise ValueError("hop count")
+    a = np.zeros((m, m))
+    idx = np.arange(m - 1)
+    a[idx, idx + 1] = 1.0
+    a[idx + 1, idx] = 1.0
+    if variant == "onehop":
+        out = a.copy()
+    elif variant == "multihop":
+        out = np.linalg.matrix_power(a, hops)
+    elif variant == "accumulative":
+        out = np.zeros((m, m))
+        term = np.eye(m)
+        for _ in range(hops + 1):
+            out += term
+            term = term @ a
+    elif variant == "exponential":
+        out = matrix_exp(a)
+    else:
+        try:
+            out = solve(np.eye(m) - a, np.eye(m))
+        except Exception:
+            out = _bi_chain_oracle(m, "accumulative", m - 1, False)
+    if include_self and variant in ("onehop", "multihop"):
+        out = out + np.eye(m)
+    return out
+
+
+def _outcome(fn, *args):
+    try:
+        out = fn(*args)
+    except ValueError:
+        return "ValueError"
+    return out.shape, out.dtype, out.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["onehop", "multihop", "accumulative",
+                                     "exponential", "reciprocal"])
+def test_bi_chain_is_bit_identical_to_its_former_construction(variant):
+    for m in list(range(1, 40)) + [64, 130, 200]:
+        for hops in (0, 1, 2, 3, 7):
+            for include_self in (False, True):
+                args = (m, variant, hops, include_self)
+                want = _outcome(_bi_chain_oracle, *args)
+                got = _outcome(itd.chain_structural_matrix, m, "bi", *args[1:])
+                assert got == want, args
+
+
+def test_graph_pagerank_singular_on_the_triangle():
+    # 2 is an eigenvalue of K3, so I - (1 - alpha) A is singular at alpha = 0.5
+    triangle = itd.Graph(3, [(0, 1), (1, 2), (0, 2)])
+    with pytest.raises(SingularMatrixError):
+        itd.graph_structural_matrix(triangle, "pagerank", alpha=0.5,
+                                    normalization="none")

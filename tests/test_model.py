@@ -3,6 +3,7 @@ import pytest
 
 from rpn2 import datasets as ds
 from rpn2 import fusion as fu
+from rpn2 import grid_geometry as gg
 from rpn2 import interdependence as itd
 from rpn2 import model as md
 from rpn2 import reconciliation as rc
@@ -292,3 +293,23 @@ def test_gegenbauer_alpha_zero_rejected_on_model_path():
     model = _single(head)
     with pytest.raises(ValueError, match="gegenbauer"):
         md.model_forward(np.ones((3, 2)), model, md.init_store(model, 0))
+
+
+def test_identity_remainder_checks_widths_of_duplicated_padding_heads():
+    # one 2x2 patch on a 2x2x1 grid: the head maps 4 cells to 1 output, so
+    # the input cannot be added back (it used to broadcast to a (3, 4) output)
+    grid = gg.GridSpec(2, 2, 1)
+    shape = gg.Cuboid(0, 1, 0, 1, 0, 0)
+    packing = gg.PackingSpec(2.0, 2.0, 1.0, clip_out_of_grid=True)
+    assert len(gg.packing_centers(grid, packing, shape)) == 1
+    head = md.HeadConfig(
+        m=4, n=1, expansion=tf.ExpansionSpec("identity"),
+        reconciliation=rc.ReconciliationSpec("duplicated_padding", n=1, D=4, p=4,
+                                             p_count=1),
+        attr_prior=itd.InterdependenceSpec(
+            itd.GridStructural(grid, shape, packing, "padding")),
+        remainder="identity", dup_blocks=(1, 4))
+    store = md.ParameterStore()
+    store.add_slot("l0.h0.c0.psi", (4,), np.ones(4))
+    with pytest.raises(ValueError, match="identity remainder"):
+        md.model_forward(np.ones((3, 4)), _single(head), store)
