@@ -32,10 +32,47 @@ def _check_keys(obj, allowed, path):
             raise ConfigError("unknown key %r at %s" % (key, path or "top level"))
 
 
-def _require(obj, key, path):
+_REQUIRED = object()
+
+
+def _edge_list(value):
+    return [(int(u), int(v)) for u, v in value]
+
+
+_KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
+          list: "a list", dict: "an object", _edge_list: "a list of [u, v] pairs"}
+
+
+def _as(value, kind, what):
+    """value as `kind`: str, list and dict check the JSON type, the others
+    convert. A value of the wrong type is a ConfigError naming `what` it is."""
+    try:
+        if kind not in (str, list, dict):
+            return kind(value)
+        if isinstance(value, kind):
+            return value
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError("%s must be %s, got %r" % (what, _KINDS[kind], value))
+
+
+def _get(obj, key, path, kind, default=_REQUIRED):
+    """Config value obj[key] read as `kind` (see `_as`); a missing key gives
+    the default, or a ConfigError when there is none."""
+    where = path or "top level"
     if key not in obj:
-        raise ConfigError("missing key %r at %s" % (key, path or "top level"))
-    return obj[key]
+        if default is _REQUIRED:
+            raise ConfigError("missing key %r at %s" % (key, where))
+        return default
+    return _as(obj[key], kind, "key %r at %s" % (key, where))
+
+
+def _fields(obj, fields, path, other=()):
+    """{key: value} of obj's (key, kind, default) fields. Keys that are not
+    fields or in `other` are rejected, unless other is None."""
+    if other is not None:
+        _check_keys(obj, {key for key, _, _ in fields} | set(other), path)
+    return {key: _get(obj, key, path, kind, default) for key, kind, default in fields}
 
 
 def _load_config(path):
@@ -54,35 +91,30 @@ def _write_csv(path, header, rows):
 # gen-data
 
 
-_DATASET_KEYS = {
-    "two_moons": {"kind", "n", "noise", "seed"},
-    "chain_series": {"kind", "m", "b", "seed"},
-    "grid_images": {"kind", "h", "w", "d", "b", "seed"},
-    "random_graph": {"kind", "n_v", "edge_prob", "feature_dim", "classes", "seed"},
+# fields of each dataset kind, named after a `datasets` function and its arguments
+_DATASET_FIELDS = {
+    "two_moons": (("n", int, 200), ("noise", float, 0.1)),
+    "chain_series": (("m", int, 32), ("b", int, 16)),
+    "grid_images": (("h", int, 8), ("w", int, 8), ("d", int, 3), ("b", int, 4)),
+    "random_graph": (("n_v", int, 10), ("edge_prob", float, 0.3),
+                     ("feature_dim", int, 4), ("classes", int, 2)),
 }
 
 
 def generate_dataset(spec, seed_override=None):
-    kind = _require(spec, "kind", "data")
-    if kind not in _DATASET_KEYS:
+    kind = _get(spec, "kind", "data", str)
+    if kind not in _DATASET_FIELDS:
         raise ConfigError("unknown dataset kind %r" % kind)
-    _check_keys(spec, _DATASET_KEYS[kind], "data")
-    seed = seed_override if seed_override is not None else spec.get("seed", 0)
-    if kind == "two_moons":
-        return ds.two_moons(spec.get("n", 200), spec.get("noise", 0.1), seed)
-    if kind == "chain_series":
-        return ds.chain_series(spec.get("m", 32), spec.get("b", 16), seed)
-    if kind == "grid_images":
-        return ds.grid_images(spec.get("h", 8), spec.get("w", 8),
-                              spec.get("d", 3), spec.get("b", 4), seed)
-    return ds.random_graph(spec.get("n_v", 10), spec.get("edge_prob", 0.3),
-                           spec.get("feature_dim", 4), spec.get("classes", 2), seed)
+    args = _fields(spec, _DATASET_FIELDS[kind], "data", ("kind", "seed"))
+    args["seed"] = (seed_override if seed_override is not None
+                    else _get(spec, "seed", "data", int, 0))
+    return getattr(ds, kind)(**args)
 
 
 def cmd_gen_data(config, out, seed_override=None):
     _check_keys(config, {"data"}, "")
-    spec = _require(config, "data", "")
-    kind = _require(spec, "kind", "data")
+    spec = _get(config, "data", "", dict)
+    kind = _get(spec, "kind", "data", str)
     result = generate_dataset(spec, seed_override)
     if kind == "two_moons":
         x, y = result
@@ -109,46 +141,44 @@ def cmd_gen_data(config, out, seed_override=None):
 # build-matrix
 
 
+_MATRIX_FIELDS = {
+    "identity": (("m", int, _REQUIRED),),
+    "chain": (("m", int, _REQUIRED), ("direction", str, "uni"), ("variant", str, "onehop"),
+              ("hops", int, 1), ("include_self", bool, False)),
+    "graph": (("n_nodes", int, _REQUIRED), ("edges", _edge_list, []),
+              ("variant", str, "adjacency"), ("hops", int, 1), ("alpha", float, 0.15),
+              ("normalization", str, "none")),
+    "grid": (("h", int, 8), ("w", int, 8), ("d", int, 1), ("shape", dict, {}),
+             ("packing", dict, {}), ("mode", str, "padding")),
+}
+_SHAPE_FIELDS = tuple((key, int, 1) for key in ("p_h", "p_h2", "p_w", "p_w2", "p_d", "p_d2"))
+_PACKING_FIELDS = (("d_h", float, 1.0), ("d_w", float, 1.0), ("d_d", float, 1.0),
+                   ("strategy", str, ""), ("clip_out_of_grid", bool, False))
+
+
 def _matrix_from_config(spec):
-    kind = _require(spec, "kind", "matrix")
+    kind = _get(spec, "kind", "matrix", str)
+    if kind not in _MATRIX_FIELDS:
+        raise ConfigError("unknown matrix kind %r" % kind)
+    f = _fields(spec, _MATRIX_FIELDS[kind], "matrix", ("kind",))
     if kind == "identity":
-        _check_keys(spec, {"kind", "m"}, "matrix")
-        return np.eye(int(_require(spec, "m", "matrix")))
+        return np.eye(f["m"])
     if kind == "chain":
-        _check_keys(spec, {"kind", "m", "direction", "variant", "hops",
-                           "include_self"}, "matrix")
-        return itd.chain_structural_matrix(
-            int(_require(spec, "m", "matrix")),
-            spec.get("direction", "uni"), spec.get("variant", "onehop"),
-            int(spec.get("hops", 1)), bool(spec.get("include_self", False)))
+        return itd.chain_structural_matrix(**f)
     if kind == "graph":
-        _check_keys(spec, {"kind", "n_nodes", "edges", "variant", "hops",
-                           "alpha", "normalization"}, "matrix")
-        graph = itd.Graph(int(_require(spec, "n_nodes", "matrix")),
-                          [tuple(e) for e in spec.get("edges", [])])
-        return itd.graph_structural_matrix(
-            graph, spec.get("variant", "adjacency"), int(spec.get("hops", 1)),
-            float(spec.get("alpha", 0.15)), spec.get("normalization", "none"))
-    if kind == "grid":
-        _check_keys(spec, {"kind", "h", "w", "d", "shape", "packing", "mode"},
-                    "matrix")
-        grid = gg.GridSpec(int(spec.get("h", 8)), int(spec.get("w", 8)),
-                           int(spec.get("d", 1)))
-        sh = spec.get("shape", {})
-        shape = gg.Cuboid(*(int(sh.get(k, 1)) for k in
-                            ("p_h", "p_h2", "p_w", "p_w2", "p_d", "p_d2")))
-        pk = spec.get("packing", {})
-        packing = gg.PackingSpec(float(pk.get("d_h", 1)), float(pk.get("d_w", 1)),
-                                 float(pk.get("d_d", 1)), pk.get("strategy", ""),
-                                 bool(pk.get("clip_out_of_grid", False)))
-        return itd.grid_structural_matrix(grid, shape, packing,
-                                          spec.get("mode", "padding"))
-    raise ConfigError("unknown matrix kind %r" % kind)
+        graph = itd.Graph(f.pop("n_nodes"), f.pop("edges"))
+        return itd.graph_structural_matrix(graph, **f)
+    # shape and packing keys are read, not checked
+    return itd.grid_structural_matrix(
+        gg.GridSpec(f["h"], f["w"], f["d"]),
+        gg.Cuboid(**_fields(f["shape"], _SHAPE_FIELDS, "matrix.shape", None)),
+        gg.PackingSpec(**_fields(f["packing"], _PACKING_FIELDS, "matrix.packing", None)),
+        f["mode"])
 
 
 def cmd_build_matrix(config, out, seed_override=None):
     _check_keys(config, {"matrix", "seed"}, "")
-    a = _matrix_from_config(_require(config, "matrix", ""))
+    a = _matrix_from_config(_get(config, "matrix", "", dict))
     if not isinstance(a, SparseCoo):
         a = SparseCoo.from_dense(as_dense(a))
     with open(out, "w", encoding="utf-8") as fh:
@@ -166,46 +196,31 @@ def cmd_build_matrix(config, out, seed_override=None):
 # model serialization (restricted schema)
 
 
-_HEAD_KEYS = {"m", "n", "expansion", "reconciliation", "channels", "remainder",
-              "processors", "inst_prior", "attr_prior"}
-
-
-def _expansion_from(cfg):
-    _check_keys(cfg, {"family", "d", "alpha", "wavelet", "s_max", "t_max",
-                      "a", "b", "order"}, "expansion")
-    return tf.ExpansionSpec(cfg.get("family", "identity"), int(cfg.get("d", 1)),
-                            float(cfg.get("alpha", 0.5)),
-                            cfg.get("wavelet", "haar"), int(cfg.get("s_max", 1)),
-                            int(cfg.get("t_max", 1)), float(cfg.get("a", 2.0)),
-                            float(cfg.get("b", 1.0)), int(cfg.get("order", 1)))
-
-
-def _reconciliation_from(cfg):
-    _check_keys(cfg, {"method", "n", "D", "rank", "mid", "input_len", "p",
-                      "p_count", "seed"}, "reconciliation")
-    return rc.ReconciliationSpec(
-        cfg.get("method", "identity"), int(_require(cfg, "n", "reconciliation")),
-        int(_require(cfg, "D", "reconciliation")), int(cfg.get("rank", 0)),
-        int(cfg.get("mid", 0)), int(cfg.get("input_len", 0)),
-        int(cfg.get("p", 0)), int(cfg.get("p_count", 0)), int(cfg.get("seed", 0)))
+_HEAD_FIELDS = (("m", int, _REQUIRED), ("n", int, _REQUIRED), ("expansion", dict, {}),
+                ("reconciliation", dict, _REQUIRED), ("channels", int, 1),
+                ("remainder", str, "zero"), ("processors", dict, {}),
+                ("attr_prior", dict, None), ("inst_prior", dict, None))
+_EXPANSION_FIELDS = (("family", str, "identity"), ("d", int, 1), ("alpha", float, 0.5),
+                     ("wavelet", str, "haar"), ("s_max", int, 1), ("t_max", int, 1),
+                     ("a", float, 2.0), ("b", float, 1.0), ("order", int, 1))
+_RECONCILIATION_FIELDS = (
+    ("method", str, "identity"), ("n", int, _REQUIRED), ("D", int, _REQUIRED),
+    *((key, int, 0) for key in ("rank", "mid", "input_len", "p", "p_count", "seed")))
+_INTERDEP_FIELDS = (("variant", str, "identity"), ("post_norm", str, "none"),
+                    ("norm_r", int, 1))
+_INTERDEP_VARIANTS = {"identity": (itd.Identity, ("dim",)),
+                      "bilinear": (itd.Bilinear, ("dim",)),
+                      "lowrank_bilinear": (itd.LowRankBilinear, ("dim", "rank"))}
 
 
 def _interdep_from(cfg, axis):
-    _check_keys(cfg, {"variant", "post_norm", "norm_r", "dim", "rank", "m"},
-                "interdependence")
-    variant = cfg.get("variant", "identity")
-    if variant == "identity":
-        v = itd.Identity(int(_require(cfg, "dim", "interdependence")))
-    elif variant == "bilinear":
-        v = itd.Bilinear(int(_require(cfg, "dim", "interdependence")))
-    elif variant == "lowrank_bilinear":
-        v = itd.LowRankBilinear(int(_require(cfg, "dim", "interdependence")),
-                                int(_require(cfg, "rank", "interdependence")))
-    else:
+    f = _fields(cfg, _INTERDEP_FIELDS, "interdependence", ("dim", "rank"))
+    variant = f.pop("variant")
+    if variant not in _INTERDEP_VARIANTS:
         raise ConfigError("unsupported interdependence variant %r" % variant)
-    return itd.InterdependenceSpec(v, axis=axis,
-                                   post_norm=cfg.get("post_norm", "none"),
-                                   norm_r=int(cfg.get("norm_r", 1)))
+    make, sizes = _INTERDEP_VARIANTS[variant]
+    v = make(*(_get(cfg, key, "interdependence", int) for key in sizes))
+    return itd.InterdependenceSpec(v, axis=axis, **f)
 
 
 # strategies a bare name configures: the config has no weights, learnable,
@@ -216,25 +231,24 @@ _HEAD_FUSIONS = ("average", "sum", "hadamard", "metric")
 def model_from_config(cfg):
     _check_keys(cfg, {"layers"}, "model")
     layers = []
-    for li, lcfg in enumerate(_require(cfg, "layers", "model")):
-        _check_keys(lcfg, {"heads", "head_fusion"}, "model.layers[%d]" % li)
+    for li, lcfg in enumerate(_get(cfg, "layers", "model", list)):
+        lpath = "model.layers[%d]" % li
+        lcfg = _as(lcfg, dict, lpath)
+        _check_keys(lcfg, {"heads", "head_fusion"}, lpath)
         heads = []
-        for hi, hcfg in enumerate(_require(lcfg, "heads", "model.layers[%d]" % li)):
-            _check_keys(hcfg, _HEAD_KEYS, "model.layers[%d].heads[%d]" % (li, hi))
-            heads.append(md.HeadConfig(
-                m=int(_require(hcfg, "m", "head")),
-                n=int(_require(hcfg, "n", "head")),
-                expansion=_expansion_from(hcfg.get("expansion", {})),
-                reconciliation=_reconciliation_from(
-                    _require(hcfg, "reconciliation", "head")),
-                channels=int(hcfg.get("channels", 1)),
-                remainder=hcfg.get("remainder", "zero"),
-                attr_prior=_interdep_from(hcfg["attr_prior"], "attribute")
-                if "attr_prior" in hcfg else None,
-                inst_prior=_interdep_from(hcfg["inst_prior"], "instance")
-                if "inst_prior" in hcfg else None,
-                processors=dict(hcfg.get("processors", {}))))
-        strategy = lcfg.get("head_fusion", "average")
+        for hi, hcfg in enumerate(_get(lcfg, "heads", lpath, list)):
+            hpath = "%s.heads[%d]" % (lpath, hi)
+            f = _fields(_as(hcfg, dict, hpath), _HEAD_FIELDS, hpath)
+            f["expansion"] = tf.ExpansionSpec(
+                **_fields(f["expansion"], _EXPANSION_FIELDS, "expansion"))
+            f["reconciliation"] = rc.ReconciliationSpec(
+                **_fields(f["reconciliation"], _RECONCILIATION_FIELDS, "reconciliation"))
+            for tag, axis in (("attr_prior", "attribute"), ("inst_prior", "instance")):
+                if f[tag] is not None:
+                    f[tag] = _interdep_from(f[tag], axis)
+            f["processors"] = dict(f["processors"])
+            heads.append(md.HeadConfig(**f))
+        strategy = _get(lcfg, "head_fusion", lpath, str, "average")
         if strategy not in _HEAD_FUSIONS:
             raise ConfigError(
                 "unsupported head_fusion %r at model.layers[%d]; expected one of %s"
@@ -247,38 +261,40 @@ def model_from_config(cfg):
 # train
 
 
+_TRAIN_FIELDS = (("loss", str, None), ("optimizer", dict, {}), ("epochs", int, 100))
+_DEFAULT_LOSS = {"two_moons": "cross_entropy", "chain_series": "mse"}
+# optimizer keys that model.train reads; it ignores any other
+_OPTIMIZER_KINDS = {"kind": str, "lr": float, "momentum": float, "beta1": float,
+                    "beta2": float, "eps": float}
+
+
 def cmd_train(config, out, seed_override=None):
     _check_keys(config, {"model", "data", "train", "outputs"}, "")
-    tcfg = config.get("train", {})
-    _check_keys(tcfg, {"loss", "optimizer", "epochs", "seed"}, "train")
-    seed = seed_override if seed_override is not None else int(tcfg.get("seed", 0))
-    model = model_from_config(_require(config, "model", ""))
-    dspec = _require(config, "data", "")
-    kind = _require(dspec, "kind", "data")
-    result = generate_dataset(dspec)
-    if kind == "two_moons":
-        x, y = result
-        default_loss = "cross_entropy"
-    elif kind == "chain_series":
-        x, y = result
-        default_loss = "mse"
-    else:
+    tcfg = _get(config, "train", "", dict, {})
+    t = _fields(tcfg, _TRAIN_FIELDS, "train", ("seed",))
+    seed = seed_override if seed_override is not None else _get(tcfg, "seed", "train", int, 0)
+    model = model_from_config(_get(config, "model", "", dict))
+    dspec = _get(config, "data", "", dict)
+    kind = _get(dspec, "kind", "data", str)
+    if kind not in _DEFAULT_LOSS:
         raise ConfigError("training supports two_moons and chain_series data")
-    loss = tcfg.get("loss", default_loss)
-    history, store = md.train(model, x, y, loss=loss,
-                              optimizer=tcfg.get("optimizer", {}),
-                              epochs=int(tcfg.get("epochs", 100)), seed=seed)
-    outputs = config.get("outputs", {})
-    _check_keys(outputs, {"metrics", "checkpoint"}, "outputs")
-    metrics_path = outputs.get("metrics", (out or "train") + ".metrics.csv")
-    ckpt_path = outputs.get("checkpoint", (out or "train") + ".checkpoint.json")
-    _write_csv(metrics_path, ["epoch", "loss", "metric"],
+    x, y = generate_dataset(dspec)
+    history, store = md.train(
+        model, x, y, loss=_DEFAULT_LOSS[kind] if t["loss"] is None else t["loss"],
+        optimizer={key: _get(t["optimizer"], key, "train.optimizer", key_kind)
+                   for key, key_kind in _OPTIMIZER_KINDS.items() if key in t["optimizer"]},
+        epochs=t["epochs"], seed=seed)
+    stem = out or "train"
+    paths = _fields(_get(config, "outputs", "", dict, {}),
+                    (("metrics", str, stem + ".metrics.csv"),
+                     ("checkpoint", str, stem + ".checkpoint.json")), "outputs")
+    _write_csv(paths["metrics"], ["epoch", "loss", "metric"],
                [[e["epoch"], e["loss"], e["metric"]] for e in history.epochs])
     ckpt = {"config": config, "seed": seed,
             "parameters": store.vector.tolist(),
             "slots": {k: list(v) for k, v in
                       ((name, store.slots[name][:2]) for name in store.slots)}}
-    with open(ckpt_path, "w", encoding="utf-8") as fh:
+    with open(paths["checkpoint"], "w", encoding="utf-8") as fh:
         json.dump(ckpt, fh, indent=2, sort_keys=True)
         fh.write("\n")
     if history.epochs:
@@ -296,8 +312,8 @@ def cmd_train(config, out, seed_override=None):
 
 def cmd_equiv(config, out, seed_override=None):
     _check_keys(config, {"kind", "seed"}, "")
-    kind = _require(config, "kind", "")
-    seed = seed_override if seed_override is not None else int(config.get("seed", 0))
+    kind = _get(config, "kind", "", str)
+    seed = seed_override if seed_override is not None else _get(config, "seed", "", int, 0)
     diff, tol = be.run_case(kind, Prng(seed).derive("equiv_%s" % kind))
     ok = diff < tol if tol > 0 else diff == 0.0
     status = "PASS" if ok else "FAIL"
@@ -313,17 +329,17 @@ def cmd_equiv(config, out, seed_override=None):
 
 def cmd_diagnose(config, out, seed_override=None):
     _check_keys(config, {"model", "data", "seed"}, "")
-    model = model_from_config(_require(config, "model", ""))
-    dspec = _require(config, "data", "")
+    model = model_from_config(_get(config, "model", "", dict))
+    dspec = _get(config, "data", "", dict)
     result = generate_dataset(dspec, seed_override)
-    kind = dspec["kind"]
+    kind = _get(dspec, "kind", "data", str)
     if kind in ("two_moons", "chain_series"):
         x = result[0]
     elif kind == "grid_images":
         x = result
     else:
         raise ConfigError("diagnose supports two_moons, chain_series, grid_images")
-    seed = seed_override if seed_override is not None else int(config.get("seed", 0))
+    seed = seed_override if seed_override is not None else _get(config, "seed", "", int, 0)
     store = md.init_store(model, seed)
     report = md.diagnostics(model, x, store)
     text = json.dumps(report, indent=2, sort_keys=True)
@@ -354,7 +370,7 @@ def main(argv=None):
     parser.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
     try:
-        config = _load_config(args.config)
+        config = _as(_load_config(args.config), dict, "the config")
         out = args.out
         if args.command in ("gen-data", "build-matrix") and out is None:
             raise ConfigError("%s requires --out" % args.command)

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import reconciliation as rc
 from .numeric_core import Tape, as_dense, concat_nodes
 
 
@@ -21,16 +22,19 @@ class FusionSpec:
     input_widths: tuple = ()     # concat_linear n_i list
 
 
+def _concat_fabric(spec, total):
+    """Reconciliation spec of the total x target concat_linear map."""
+    return rc.ReconciliationSpec("lorr" if spec.low_rank else "identity",
+                                 n=total, D=spec.target, rank=spec.low_rank)
+
+
 def param_length(spec):
     if not spec.learnable:
         return 0
     if spec.strategy == "weighted_sum":
         return spec.input_count
     if spec.strategy == "concat_linear":
-        total = sum(spec.input_widths)
-        if spec.low_rank:
-            return (total + spec.target) * spec.low_rank
-        return total * spec.target
+        return rc.param_length(_concat_fabric(spec, sum(spec.input_widths)))
     return 0
 
 
@@ -86,11 +90,9 @@ def fuse_nodes(nodes, spec, param_node=None):
         return tape.constant(_METRICS[spec.metric](np.stack([n.value for n in nodes])))
     if spec.strategy == "concat_linear":
         cat = concat_nodes(nodes, axis=1)
-        total = cat.shape[1]
         if spec.low_rank:
-            r = spec.low_rank
-            p = param_node.take(0, total * r).reshape((total, r))
-            q = param_node.take(total * r, param_node.value.size).reshape((spec.target, r))
+            # cat @ P @ Q^T: P Q^T is never formed
+            p, q = rc.lorr_factors(param_node, cat.shape[1], spec.target, spec.low_rank)
             return cat.matmul(p).matmul(q.transpose())
-        return cat.matmul(param_node.reshape((total, spec.target)))
+        return cat.matmul(rc.reconcile_node(_concat_fabric(spec, cat.shape[1]), param_node))
     raise ValueError("unknown fusion strategy %r" % spec.strategy)

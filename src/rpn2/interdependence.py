@@ -8,7 +8,7 @@ variants receive the transposed batch, and the produced matrix is stored so
 that stored.T left-multiplies the batch; structural chain matrices therefore
 keep their ones on the superdiagonal while the applied matrix is the
 subdiagonal shift, and graph matrices store the transpose of the normalized
-adjacency.
+adjacency. Parametric matrices are fabricated by `reconciliation` (`_fabric`).
 """
 
 from dataclasses import dataclass, field
@@ -154,21 +154,25 @@ class InterdependenceSpec:
     norm_r: int = 1
 
 
+def _fabric(v):
+    """Reconciliation spec of the learnable matrix of a parametric variant."""
+    if isinstance(v, Parameterized):
+        if v.reconciliation not in ("full", "lorr"):
+            raise ValueError("unknown reconciliation tag %r" % v.reconciliation)
+        method = "identity" if v.reconciliation == "full" else "lorr"
+        return rc.ReconciliationSpec(method, n=v.m, D=v.m_prime, rank=v.rank)
+    if isinstance(v, Bilinear):
+        return rc.ReconciliationSpec("identity", n=v.dim, D=v.dim)
+    if isinstance(v, LowRankBilinear):
+        return rc.ReconciliationSpec("lorr", n=v.dim, D=v.dim, rank=v.rank)
+    return v.reconciliation
+
+
 def param_length(spec):
     """Exact learnable-parameter count of a spec (0 for parameter-free ones)."""
     v = spec.variant if isinstance(spec, InterdependenceSpec) else spec
-    if isinstance(v, Parameterized):
-        if v.reconciliation == "full":
-            return v.m * v.m_prime
-        if v.reconciliation == "lorr":
-            return (v.m + v.m_prime) * v.rank
-        raise ValueError("unknown reconciliation tag %r" % v.reconciliation)
-    if isinstance(v, Bilinear):
-        return v.dim * v.dim
-    if isinstance(v, LowRankBilinear):
-        return 2 * v.dim * v.rank
-    if isinstance(v, RpnHead):
-        return rc.param_length(v.reconciliation)
+    if isinstance(v, (Parameterized, Bilinear, LowRankBilinear, RpnHead)):
+        return rc.param_length(_fabric(v))
     if isinstance(v, Hybrid):
         return sum(param_length(c) for c in v.variants)
     return 0
@@ -501,20 +505,12 @@ def build_node(spec, x_node, param_node):
             raise ValueError("%s interdependence needs a data batch" % type(v).__name__)
         data = x_node.transpose() if spec.axis == "instance" else x_node
     if isinstance(v, Parameterized):
-        if v.reconciliation == "full":
-            a = param_node.reshape((v.m, v.m_prime))
-        else:
-            na = v.m * v.rank
-            wa = param_node.take(0, na).reshape((v.m, v.rank))
-            wb = param_node.take(na, param_length(v)).reshape((v.m_prime, v.rank))
-            a = wa.matmul(wb.transpose())
+        a = rc.reconcile_node(_fabric(v), param_node)
     elif isinstance(v, Bilinear):
-        w = param_node.reshape((v.dim, v.dim))
-        a = data.transpose().matmul(w).matmul(data)
+        a = data.transpose().matmul(rc.reconcile_node(_fabric(v), param_node)).matmul(data)
     elif isinstance(v, LowRankBilinear):
-        half = v.dim * v.rank
-        wp = param_node.take(0, half).reshape((v.dim, v.rank))
-        wq = param_node.take(half, 2 * half).reshape((v.dim, v.rank))
+        # X^T P (X^T Q)^T: P Q^T is never formed
+        wp, wq = rc.lorr_factors(param_node, v.dim, v.dim, v.rank)
         a = data.transpose().matmul(wp).matmul(data.transpose().matmul(wq).transpose())
     elif isinstance(v, RpnHead):
         # xi(X|w) = <kappa'(flatten(X)), psi'(w')> + pi', reshaped m x m_prime

@@ -94,41 +94,31 @@ class ParameterStore:
 _INTERDEP_TAGS = ("attr_prior", "attr_post", "inst_prior", "inst_post")
 
 
-def init_store(model, seed=0):
-    store = ParameterStore()
-    prng = Prng(seed)
+def _slot_walk(model):
+    """(name, shape, init scale) of every candidate slot, in vector order;
+    head fusion weights are unscaled (a factor of 1.0 changes no float)."""
     for k, layer in enumerate(model.layers):
         for h, head in enumerate(layer.heads):
+            pre = "l%d.h%d." % (k, h)
             scale = 1.0 / np.sqrt(max(1, head.m))
             for tag in _INTERDEP_TAGS:
                 spec = getattr(head, tag)
-                if spec is None:
-                    continue
-                l = itd.param_length(spec)
-                if l:
-                    name = "l%d.h%d.%s" % (k, h, tag)
-                    init = (prng.derive(name).uniforms((l,)) * 2 - 1) * scale
-                    store.add_slot(name, (l,), init)
+                if spec is not None:
+                    yield pre + tag, (itd.param_length(spec),), scale
             for c in range(head.channels):
-                l = rc.param_length(head.reconciliation)
-                if l:
-                    name = "l%d.h%d.c%d.psi" % (k, h, c)
-                    init = (prng.derive(name).uniforms((l,)) * 2 - 1) * scale
-                    store.add_slot(name, (l,), init)
+                yield pre + "c%d.psi" % c, (rc.param_length(head.reconciliation),), scale
             if head.remainder == "linear":
-                name = "l%d.h%d.pi" % (k, h)
-                init = (prng.derive(name).uniforms((head.m, head.n)) * 2 - 1) * scale
-                store.add_slot(name, (head.m, head.n), init)
-            l = fu.param_length(head.channel_fusion)
-            if l:
-                name = "l%d.h%d.cfuse" % (k, h)
-                init = (prng.derive(name).uniforms((l,)) * 2 - 1) * scale
-                store.add_slot(name, (l,), init)
-        l = fu.param_length(layer.head_fusion)
-        if l:
-            name = "l%d.hfuse" % k
-            init = (prng.derive(name).uniforms((l,)) * 2 - 1)
-            store.add_slot(name, (l,), init)
+                yield pre + "pi", (head.m, head.n), scale
+            yield pre + "cfuse", (fu.param_length(head.channel_fusion),), scale
+        yield "l%d.hfuse" % k, (fu.param_length(layer.head_fusion),), 1.0
+
+
+def init_store(model, seed=0):
+    store = ParameterStore()
+    prng = Prng(seed)
+    for name, shape, scale in _slot_walk(model):
+        if shape != (0,):  # empty vector slots are skipped; the (m, n) remainder never is
+            store.add_slot(name, shape, (prng.derive(name).uniforms(shape) * 2 - 1) * scale)
     return store
 
 
@@ -222,10 +212,9 @@ def layer_forward(x_node, layer, param_nodes, k=0, trace=None):
     return fu.fuse_nodes(outs, layer.head_fusion, hf_param)
 
 
-def model_forward_nodes(x, model, store, tape=None, param_nodes=None, trace=None):
-    tape = tape or Tape()
-    if param_nodes is None:
-        param_nodes = make_param_nodes(tape, store)
+def model_forward_nodes(x, model, store, trace=None):
+    tape = Tape()
+    param_nodes = make_param_nodes(tape, store)
     cur = tape.constant(np.asarray(x, dtype=float))
     for k, layer in enumerate(model.layers):
         cur = layer_forward(cur, layer, param_nodes, k, trace)

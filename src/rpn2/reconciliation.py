@@ -2,6 +2,7 @@
 short parameter vector.
 
 The fabricated matrix is laid out n x D and is applied as `expanded @ psi.T`.
+This is the one module that lays learnable matrices out in parameter vectors.
 Frozen random factors are drawn once per (method, seed) with Box-Muller over
 the package's splitmix stream, so reconstruction from the same seed is
 bit-identical.
@@ -92,6 +93,13 @@ def reconcile(spec, w=None):
     return reconcile_node(spec, Tape().constant(w)).value
 
 
+def lorr_factors(w_node, n, D, rank):
+    """The n x rank and D x rank factor nodes a lorr vector holds in turn."""
+    na = n * rank
+    return (w_node.take(0, na).reshape((n, rank)),
+            w_node.take(na, na + D * rank).reshape((D, rank)))
+
+
 def reconcile_node(spec, w_node):
     """Fabricated n x D matrix as a tape node; w_node holds the parameter
     vector (a zero-length node for constant_eye)."""
@@ -101,9 +109,7 @@ def reconcile_node(spec, w_node):
     if spec.method == "constant_eye":
         return t.constant(np.eye(spec.n, spec.D))
     if spec.method == "lorr":
-        na = spec.n * spec.rank
-        wa = w_node.take(0, na).reshape((spec.n, spec.rank))
-        wb = w_node.take(na, param_length(spec)).reshape((spec.D, spec.rank))
+        wa, wb = lorr_factors(w_node, spec.n, spec.D, spec.rank)
         return wa.matmul(wb.transpose())
     if spec.method == "vera":
         fr = frozen_randoms(spec)

@@ -205,22 +205,11 @@ def expand(x, spec):
 
 @dataclass(frozen=True)
 class CompressionSpec:
+    """Probabilistic compression settings (`compress_probabilistic`)."""
     method: str
-    # linear
-    matrix: object = None
-    # patch
-    grid: object = None
-    shape: object = None
-    packing: object = None
-    mapping: str = "operator"   # norm | entropy | metric | operator
-    mapping_kind: object = "max"  # p for norm; kind tags otherwise
-    # selection / reduction / probabilistic
-    k: int = 0
     mode: str = ""
-    s: float = 1.0
     d: int = 0
     tuple_k: int = 1
-    distribution: str = "uniform"
     log_likelihood: bool = False
 
 

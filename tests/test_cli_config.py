@@ -1,0 +1,109 @@
+"""Config values of the wrong type are config errors (exit 2) that name the
+key and where it sits; the README exit-code contract holds end to end."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import rpn2
+from rpn2 import cli
+
+_HEAD = {"m": 2, "n": 2, "reconciliation": {"method": "identity", "n": 2, "D": 2}}
+_MOONS = {"kind": "two_moons", "n": 20, "seed": 1}
+
+
+def _head(**changes):
+    return dict(_HEAD, **changes)
+
+
+def _run(tmp_path, command, config, *extra):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    return cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]
+                    + list(extra))
+
+
+# command, config, words the message must hold (the key and its path)
+_WRONG_TYPES = {
+    "head m null": ("train", {"model": {"layers": [{"heads": [_head(m=None)]}]},
+                              "data": _MOONS},
+                    ["'m'", "model.layers[0].heads[0]", "integer"]),
+    "layers not a list": ("train", {"model": {"layers": 5}, "data": _MOONS},
+                          ["'layers'", "model", "list"]),
+    "expansion not an object": ("train", {"model": {"layers": [{"heads": [
+        _head(expansion=3)]}]}, "data": _MOONS},
+        ["'expansion'", "model.layers[0].heads[0]", "object"]),
+    "equiv seed null": ("equiv", {"kind": "cnn", "seed": None},
+                        ["'seed'", "top level", "integer"]),
+    "two_moons n not a number": ("gen-data", {"data": {"kind": "two_moons", "n": "x"}},
+                                 ["'n'", "data", "integer"]),
+    "epochs not a number": ("train", {"model": {"layers": [{"heads": [_HEAD]}]},
+                                      "data": _MOONS, "train": {"epochs": "ten"}},
+                            ["'epochs'", "train", "integer"]),
+    "chain m not a number": ("build-matrix", {"matrix": {"kind": "chain", "m": "many"}},
+                             ["'m'", "matrix", "integer"]),
+    "layer not an object": ("train", {"model": {"layers": [3]}, "data": _MOONS},
+                            ["model.layers[0]", "object"]),
+    "heads not a list": ("train", {"model": {"layers": [{"heads": {}}]}, "data": _MOONS},
+                         ["'heads'", "model.layers[0]", "list"]),
+    "config not an object": ("equiv", [1], ["config", "object"]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_WRONG_TYPES))
+def test_wrong_typed_value_is_config_error(tmp_path, capsys, case):
+    command, config, words = _WRONG_TYPES[case]
+    assert _run(tmp_path, command, config) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    for word in words:
+        assert word in err
+
+
+def test_interdependence_m_key_is_rejected(tmp_path, capsys):
+    head = _head(attr_prior={"variant": "identity", "dim": 2, "m": 2})
+    config = {"model": {"layers": [{"heads": [head]}]}, "data": _MOONS,
+              "train": {"epochs": 1}}
+    assert _run(tmp_path, "train", config) == 2
+    assert "unknown key 'm' at interdependence" in capsys.readouterr().err
+    del head["attr_prior"]["m"]
+    assert _run(tmp_path, "train", config) == 0
+
+
+def test_seed_override_leaves_config_seed_unread(tmp_path):
+    config = {"data": {"kind": "chain_series", "m": 4, "b": 2, "seed": None}}
+    assert _run(tmp_path, "gen-data", config) == 2
+    assert _run(tmp_path, "gen-data", config, "--seed", "3") == 0
+
+
+def test_convertible_values_read_as_before(tmp_path):
+    graph = {"matrix": {"kind": "graph", "n_nodes": "3", "edges": [["0", 1], [1.0, 2]],
+                        "alpha": 1}}
+    assert _run(tmp_path, "build-matrix", graph) == 0
+    plain = {"matrix": {"kind": "graph", "n_nodes": 3, "edges": [[0, 1], [1, 2]]}}
+    first = (tmp_path / "out").read_bytes()
+    assert _run(tmp_path, "build-matrix", plain) == 0
+    assert (tmp_path / "out").read_bytes() == first
+
+
+def _cli_subprocess(tmp_path, config, *args):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(rpn2.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-m", "rpn2.cli", *args, "--config", str(path)],
+                          capture_output=True, text=True, env=env, cwd=str(tmp_path),
+                          timeout=120)
+
+
+def test_exit_codes_end_to_end(tmp_path):
+    bad = _cli_subprocess(tmp_path, {"kind": "pool", "seed": None}, "equiv")
+    assert bad.returncode == 2
+    assert "config error" in bad.stderr and "Traceback" not in bad.stderr
+    good = _cli_subprocess(tmp_path, {"kind": "pool", "seed": 3}, "equiv")
+    assert good.returncode == 0, good.stderr
+    assert good.stdout.startswith("PASS") and "Traceback" not in good.stderr
