@@ -69,9 +69,8 @@ def _get(obj, key, path, kind, default=_REQUIRED):
 
 def _fields(obj, fields, path, other=()):
     """{key: value} of obj's (key, kind, default) fields. Keys that are not
-    fields or in `other` are rejected, unless other is None."""
-    if other is not None:
-        _check_keys(obj, {key for key, _, _ in fields} | set(other), path)
+    fields or in `other` are rejected."""
+    _check_keys(obj, {key for key, _, _ in fields} | set(other), path)
     return {key: _get(obj, key, path, kind, default) for key, kind, default in fields}
 
 
@@ -166,13 +165,15 @@ def _matrix_from_config(spec):
     if kind == "chain":
         return itd.chain_structural_matrix(**f)
     if kind == "graph":
-        graph = itd.Graph(f.pop("n_nodes"), f.pop("edges"))
+        try:
+            graph = itd.Graph(f.pop("n_nodes"), f.pop("edges"))
+        except IndexError as e:
+            raise ConfigError("matrix.%s" % e)
         return itd.graph_structural_matrix(graph, **f)
-    # shape and packing keys are read, not checked
     return itd.grid_structural_matrix(
         gg.GridSpec(f["h"], f["w"], f["d"]),
-        gg.Cuboid(**_fields(f["shape"], _SHAPE_FIELDS, "matrix.shape", None)),
-        gg.PackingSpec(**_fields(f["packing"], _PACKING_FIELDS, "matrix.packing", None)),
+        gg.Cuboid(**_fields(f["shape"], _SHAPE_FIELDS, "matrix.shape")),
+        gg.PackingSpec(**_fields(f["packing"], _PACKING_FIELDS, "matrix.packing")),
         f["mode"])
 
 
@@ -223,6 +224,16 @@ def _interdep_from(cfg, axis):
     return itd.InterdependenceSpec(v, axis=axis, **f)
 
 
+def _processors(cfg, path):
+    _check_keys(cfg, md.PROCESSOR_STATIONS, path)
+    for station, tag in cfg.items():
+        try:
+            md.check_processor(tag)
+        except ValueError as e:
+            raise ConfigError("%s.%s: %s" % (path, station, e))
+    return dict(cfg)
+
+
 # strategies a bare name configures: the config has no weights, learnable,
 # target or metric keys, so weighted_sum and concat_linear cannot be expressed
 _HEAD_FUSIONS = ("average", "sum", "hadamard", "metric")
@@ -246,7 +257,7 @@ def model_from_config(cfg):
             for tag, axis in (("attr_prior", "attribute"), ("inst_prior", "instance")):
                 if f[tag] is not None:
                     f[tag] = _interdep_from(f[tag], axis)
-            f["processors"] = dict(f["processors"])
+            f["processors"] = _processors(f["processors"], hpath + ".processors")
             heads.append(md.HeadConfig(**f))
         strategy = _get(lcfg, "head_fusion", lpath, str, "average")
         if strategy not in _HEAD_FUSIONS:
@@ -263,7 +274,7 @@ def model_from_config(cfg):
 
 _TRAIN_FIELDS = (("loss", str, None), ("optimizer", dict, {}), ("epochs", int, 100))
 _DEFAULT_LOSS = {"two_moons": "cross_entropy", "chain_series": "mse"}
-# optimizer keys that model.train reads; it ignores any other
+# optimizer keys that model.train reads; any other is rejected
 _OPTIMIZER_KINDS = {"kind": str, "lr": float, "momentum": float, "beta1": float,
                     "beta2": float, "eps": float}
 
@@ -272,6 +283,7 @@ def cmd_train(config, out, seed_override=None):
     _check_keys(config, {"model", "data", "train", "outputs"}, "")
     tcfg = _get(config, "train", "", dict, {})
     t = _fields(tcfg, _TRAIN_FIELDS, "train", ("seed",))
+    _check_keys(t["optimizer"], _OPTIMIZER_KINDS, "train.optimizer")
     seed = seed_override if seed_override is not None else _get(tcfg, "seed", "train", int, 0)
     model = model_from_config(_get(config, "model", "", dict))
     dspec = _get(config, "data", "", dict)

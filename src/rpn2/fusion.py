@@ -40,10 +40,10 @@ def param_length(spec):
 
 def fuse(inputs, spec, params=None):
     """Fusion of plain matrices; evaluates fuse_nodes on a gradient-free tape."""
-    tape = Tape()
-    nodes = [tape.constant(as_dense(a)) for a in inputs]
-    param_node = None if params is None else tape.constant(params)
-    return fuse_nodes(nodes, spec, param_node).value
+    with Tape() as tape:
+        nodes = [tape.constant(as_dense(a)) for a in inputs]
+        param_node = None if params is None else tape.constant(params)
+        return fuse_nodes(nodes, spec, param_node).value
 
 
 _METRICS = {

@@ -32,11 +32,12 @@ class Graph:
         self.n_nodes = int(n_nodes)
         self.directed = bool(directed)
         self.edges = []
-        for u, v in edges:
+        for k, (u, v) in enumerate(edges):
             u = int(u)
             v = int(v)
             if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
-                raise IndexError("edge endpoint out of range")
+                raise IndexError("edges[%d] = [%d, %d] has an endpoint outside 0..%d"
+                                 % (k, u, v, self.n_nodes - 1))
             if u == v:
                 continue  # self-dependence is added by normalization
             self.edges.append((u, v))
@@ -146,8 +147,14 @@ class Hybrid:
     fusion: object  # fusion.FusionSpec
 
 
-@dataclass
+@dataclass(frozen=True)
 class InterdependenceSpec:
+    """A variant, the axis it relates and its post-normalization.
+
+    Frozen, because the matrix of a structure variant (`_RESOLVED`) is built
+    on first use and kept on the spec (`_resolved_matrix`).
+    """
+
     variant: object
     axis: str = "attribute"  # attribute | instance
     post_norm: str = "none"  # none | row_l1 | col_l1 | col_softmax | scaled_col_softmax
@@ -439,7 +446,8 @@ def apply_post_norm(a, post_norm, norm_r=1):
     """post_norm_node evaluated on a gradient-free tape."""
     if post_norm == "none":
         return a
-    return post_norm_node(Tape().constant(as_dense(a)), post_norm, norm_r).value
+    with Tape() as tape:
+        return post_norm_node(tape.constant(as_dense(a)), post_norm, norm_r).value
 
 
 def _fixed_matrix(spec, x):
@@ -482,6 +490,27 @@ def _fixed_matrix(spec, x):
     return apply_post_norm(a, spec.post_norm, spec.norm_r)
 
 
+# parameter-free variants that read no data: their matrix is structure
+_RESOLVED = (Identity, GridStructural, ChainStructural, GraphStructural)
+
+
+def _resolved_matrix(spec):
+    """`_fixed_matrix` of a `_RESOLVED` spec, built on first use and kept on
+    the spec, read-only. A graph's edge list can change after the graph is
+    built, so it is snapshot with the matrix and compared on every use."""
+    v = spec.variant
+    edges = (v.graph.n_nodes, v.graph.directed, tuple(v.graph.edges)) \
+        if isinstance(v, GraphStructural) else None
+    kept = spec.__dict__.get("_resolved")
+    if kept is None or kept[0] != edges:
+        a = _fixed_matrix(spec, None)
+        if not isinstance(a, SparseCoo):
+            a.flags.writeable = False
+        kept = (edges, a)
+        object.__setattr__(spec, "_resolved", kept)
+    return kept[1]
+
+
 def build_node(spec, x_node, param_node):
     """Relation matrix of any spec as a tape node.
 
@@ -490,13 +519,15 @@ def build_node(spec, x_node, param_node):
     `transformation.expand_node`, and a `Hybrid` builds each child here and
     fuses them with `fusion.fuse_nodes`. Parameter-free variants are
     constants of the batch, and a sparse one is returned as the `SparseCoo`
-    itself. x_node may be None for variants that ignore the data, param_node
-    for parameter-free specs.
+    itself. Structure (`_RESOLVED`) is resolved once per spec; kernels and
+    `Constant` are read on every call. x_node may be None for variants that
+    ignore the data, param_node for parameter-free specs.
     """
     tape = (x_node if x_node is not None else param_node).tape
     v = spec.variant
     if not isinstance(v, (Parameterized, Bilinear, LowRankBilinear, RpnHead, Hybrid)):
-        a = _fixed_matrix(spec, None if x_node is None else x_node.value)
+        a = _resolved_matrix(spec) if isinstance(v, _RESOLVED) else \
+            _fixed_matrix(spec, None if x_node is None else x_node.value)
         return a if isinstance(a, SparseCoo) else tape.constant(a)
     if param_node is None:
         param_node = tape.constant(np.zeros(0))
@@ -541,8 +572,8 @@ def build_matrix(spec, x=None, params=None):
     need = param_length(spec)
     if need and (params is None or np.asarray(params).size != need):
         raise ValueError("expected %d parameters" % need)
-    tape = Tape()
-    x_node = None if x is None else tape.constant(x)
-    p_node = tape.constant(np.zeros(0) if params is None else params)
-    a = build_node(spec, x_node, p_node)
-    return a if isinstance(a, SparseCoo) else a.value
+    with Tape() as tape:
+        x_node = None if x is None else tape.constant(x)
+        p_node = tape.constant(np.zeros(0) if params is None else params)
+        a = build_node(spec, x_node, p_node)
+        return a if isinstance(a, SparseCoo) else a.value

@@ -12,13 +12,17 @@ on the tape: `interdependence.build_node` every relation matrix,
 points (`build_matrix`, `expand`, `reconcile`, `fuse`, `apply_post_norm`)
 evaluate the same code on a gradient-free tape.
 
-Parameter-free interdependence matrices are constants of the batch (no
-gradient flows through them). A sparse one, such as a grid matrix, stays a
-`SparseCoo` at its station: `Node.matmul` applies it with
-`SparseCoo.rmatmul` and back-propagates through its transpose, so the head
-never densifies it (a post_norm, a `Hybrid` child and the diagnostics' SVD
-still do). `metric` fusion is value-only: nothing upstream of it gets a
-gradient, and `train` rejects a config whose parameters would never learn.
+Parameter-free interdependence matrices are constants (no gradient flows
+through them). Structure (identity, grid, chain and graph matrices) is
+resolved once per spec: built on first use and kept on the spec, so every
+later forward and training epoch reuses it; kernels are built per batch. A
+sparse matrix, such as a grid matrix, stays a `SparseCoo` at its station:
+`Node.matmul` applies it with `SparseCoo.rmatmul` and back-propagates
+through its transpose, so the head never densifies it (a post_norm,
+a `Hybrid` child and the diagnostics' SVD still do). `metric` fusion is
+value-only: nothing upstream of it gets a gradient, and `train` rejects a
+config whose parameters would never learn. A forward's tape is released
+once it is done with (`model_forward`, `Tape.backward`).
 """
 
 from dataclasses import dataclass, field
@@ -46,7 +50,7 @@ class HeadConfig:
     inst_prior: object = None
     inst_post: object = None
     channel_fusion: fu.FusionSpec = field(default_factory=lambda: fu.FusionSpec("sum"))
-    processors: dict = field(default_factory=dict)  # input | expansion | output
+    processors: dict = field(default_factory=dict)  # PROCESSOR_STATIONS -> tag
     # (p_count, p) of a duplicated padding head; informational only, the
     # blockwise product reads both from the reconciliation spec
     dup_blocks: tuple = ()
@@ -130,18 +134,30 @@ def make_param_nodes(tape, store):
 # forward
 
 
-def _apply_processor(node, tag):
+# the stations a head applies a processor at, and the processor tags
+PROCESSOR_STATIONS = ("input", "expansion", "output")
+_PROCESSORS = {
+    "tanh": lambda node: node.tanh(),
+    "sigmoid": lambda node: node.sigmoid(),
+    "relu": lambda node: node.relu(),
+    "softmax": lambda node: softmax_node(node, axis="row", r=1),
+}
+
+
+def check_processor(tag):
+    """The function a processor tag applies, None for no processor (None,
+    "" or "none"). An unknown tag raises ValueError."""
     if tag in (None, "", "none"):
-        return node
-    if tag == "tanh":
-        return node.tanh()
-    if tag == "sigmoid":
-        return node.sigmoid()
-    if tag == "relu":
-        return node.relu()
-    if tag == "softmax":
-        return softmax_node(node, axis="row", r=1)
-    raise ValueError("unknown processor %r" % tag)
+        return None
+    if isinstance(tag, str) and tag in _PROCESSORS:
+        return _PROCESSORS[tag]
+    raise ValueError("unknown processor %r; expected one of %s"
+                     % (tag, ", ".join(_PROCESSORS)))
+
+
+def _apply_processor(node, tag):
+    fn = check_processor(tag)
+    return node if fn is None else fn(node)
 
 
 def _instance_apply(a, cur):
@@ -222,7 +238,8 @@ def model_forward_nodes(x, model, store, trace=None):
 
 
 def model_forward(x, model, store):
-    out, _, _ = model_forward_nodes(x, model, store)
+    out, tape, _ = model_forward_nodes(x, model, store)
+    tape.release()
     return out.value
 
 
@@ -309,7 +326,8 @@ def diagnostics(model, x, store):
     """Per layer: numerical rank and norm terms of instance interdependence
     matrices, nonzero ratios, and the exact learnable parameter totals."""
     trace = {}
-    out, _, _ = model_forward_nodes(x, model, store, trace=trace)
+    out, tape, _ = model_forward_nodes(x, model, store, trace=trace)
+    tape.release()
     report = {"layers": [], "parameter_total": store.total(),
               "slots": {name: store.slots[name][1] for name in store.slots}}
     x = np.asarray(x, dtype=float)

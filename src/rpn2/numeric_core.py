@@ -29,7 +29,9 @@ class SparseCoo:
     """Canonical COO matrix: duplicate triplets summed, explicit zeros dropped.
 
     `rows` and `cols` are the dimensions. The entries are three arrays sorted
-    by (row, col): int64 `row_idx` and `col_idx` and float64 `vals`.
+    by (row, col): int64 `row_idx` and `col_idx` and float64 `vals`. They are
+    read-only: a matrix never changes after construction, so it can be
+    shared (a resolved structure matrix is) and plan its products once.
     """
 
     def __init__(self, rows, cols, triplets=()):
@@ -69,6 +71,10 @@ class SparseCoo:
         self.row_idx = i[first][keep]
         self.col_idx = j[first][keep]
         self.vals = sums[keep]
+        for a in (self.row_idx, self.col_idx, self.vals):
+            a.flags.writeable = False
+        self._plan = None
+        self._transposed = None
 
     @property
     def nnz(self):
@@ -89,6 +95,30 @@ class SparseCoo:
         out[self.row_idx, self.col_idx] = self.vals
         return out
 
+    def _rmatmul_plan(self):
+        """(src, scale, passes) of rmatmul, computed on first use and kept:
+        the entries never change after construction."""
+        if self._plan is None:
+            order = np.argsort(self.col_idx, kind="stable")
+            col = self.col_idx[order]
+            pos = np.arange(col.size)
+            first = np.ones(col.size, dtype=bool)
+            first[1:] = col[1:] != col[:-1]
+            rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
+            src = np.full(self.cols, self.rows)
+            src[col[first]] = self.row_idx[order[first]]
+            scale = np.zeros(self.cols)
+            scale[col[first]] = self.vals[order[first]]
+            later = np.flatnonzero(rank)
+            later = order[later[np.argsort(rank[later], kind="stable")]]
+            passes, lo = [], 0
+            for count in np.bincount(rank)[1:]:
+                e = later[lo:lo + count]
+                lo += count
+                passes.append((self.col_idx[e], self.row_idx[e], self.vals[e]))
+            self._plan = (src, scale, passes)
+        return self._plan
+
     def rmatmul(self, x):
         """x @ self for a dense b x rows batch, without densifying self.
 
@@ -98,34 +128,20 @@ class SparseCoo:
         appended zero column), so a 0/1 matrix with one entry per column,
         such as a grid padding matrix, costs one gather and reproduces the
         dense product exactly. Pass k adds the k-th entry of each column that
-        has one. The result is a new C-contiguous array.
+        has one. The column order and passes are planned once per matrix
+        (`_rmatmul_plan`). The result is a new C-contiguous array.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.rows:
             raise ValueError("dimension mismatch: %s x (%d, %d)"
                              % (x.shape, self.rows, self.cols))
-        order = np.argsort(self.col_idx, kind="stable")
-        col = self.col_idx[order]
-        pos = np.arange(col.size)
-        first = np.ones(col.size, dtype=bool)
-        first[1:] = col[1:] != col[:-1]
-        rank = pos - np.maximum.accumulate(np.where(first, pos, 0))
-        src = np.full(self.cols, self.rows)
-        src[col[first]] = self.row_idx[order[first]]
-        scale = np.zeros(self.cols)
-        scale[col[first]] = self.vals[order[first]]
+        src, scale, passes = self._rmatmul_plan()
         out = np.take(np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1), src, axis=1)
         out *= scale
         out += 0.0  # the sum from 0.0 turns a -0.0 product into 0.0
-        later = np.flatnonzero(rank)
-        later = order[later[np.argsort(rank[later], kind="stable")]]
-        lo = 0
-        for count in np.bincount(rank)[1:]:
-            e = later[lo:lo + count]
-            lo += count
-            cols = self.col_idx[e]
-            terms = np.take(x, self.row_idx[e], axis=1)
-            terms *= self.vals[e]
+        for cols, rows, vals in passes:
+            terms = np.take(x, rows, axis=1)
+            terms *= vals
             terms += out[:, cols]
             out[:, cols] = terms
         return out
@@ -137,8 +153,12 @@ class SparseCoo:
         return self.transpose().rmatmul(b.T).T
 
     def transpose(self):
-        return SparseCoo.from_arrays(self.cols, self.rows, self.col_idx, self.row_idx,
-                                     self.vals)
+        """The transposed matrix, built on first use and kept (with its own
+        product plan) for the backward products that apply it."""
+        if self._transposed is None:
+            self._transposed = SparseCoo.from_arrays(self.cols, self.rows, self.col_idx,
+                                                     self.row_idx, self.vals)
+        return self._transposed
 
     def to_matrix_market(self):
         lines = ["%%MatrixMarket matrix coordinate real general",
@@ -558,9 +578,25 @@ def cross_entropy_node(logits, labels):
 
 
 class Tape:
-    """Record of one forward pass; single-owner, replayed once backwards."""
+    """Record of one forward pass; single-owner, replayed once backwards.
+
+    Nodes point at their tape and the tape lists its nodes. `release` drops
+    the list once the owner is done, so that a finished tape and the arrays
+    its nodes hold are freed by reference counting, without waiting for the
+    cyclic collector: `backward` releases its tape, and a gradient-free
+    evaluation runs as `with Tape() as tape:`.
+    """
 
     def __init__(self):
+        self.nodes = []
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.release()
+
+    def release(self):
         self.nodes = []
 
     def constant(self, value):
@@ -575,6 +611,8 @@ class Tape:
     def backward(self, loss):
         if loss.value.size != 1:
             raise ValueError("loss must be scalar")
+        if loss.nid >= len(self.nodes) or self.nodes[loss.nid] is not loss:
+            raise ValueError("loss is not on this tape, or the tape was released")
         grads = {loss.nid: np.ones_like(loss.value)}
         for node in reversed(self.nodes[: loss.nid + 1]):
             g = grads.pop(node.nid, None)
@@ -593,4 +631,5 @@ class Tape:
         for node in self.nodes:
             if node.is_param and node.nid in grads:
                 out[node.name if node.name is not None else node.nid] = grads[node.nid]
+        self.release()
         return out

@@ -90,7 +90,8 @@ def reconcile(spec, w=None):
         for j in range(spec.p_count):
             out[j, j * spec.p: (j + 1) * spec.p] = w
         return out
-    return reconcile_node(spec, Tape().constant(w)).value
+    with Tape() as tape:
+        return reconcile_node(spec, tape.constant(w)).value
 
 
 def lorr_factors(w_node, n, D, rank):

@@ -196,7 +196,8 @@ def expand_node(x, spec):
 
 def expand(x, spec):
     """expand_node evaluated on a gradient-free tape."""
-    return expand_node(Tape().constant(x), spec).value
+    with Tape() as tape:
+        return expand_node(tape.constant(x), spec).value
 
 
 # ---------------------------------------------------------------------------

@@ -107,3 +107,65 @@ def test_exit_codes_end_to_end(tmp_path):
     good = _cli_subprocess(tmp_path, {"kind": "pool", "seed": 3}, "equiv")
     assert good.returncode == 0, good.stderr
     assert good.stdout.startswith("PASS") and "Traceback" not in good.stderr
+
+
+def test_graph_edge_outside_n_nodes_is_config_error(tmp_path):
+    config = {"matrix": {"kind": "graph", "n_nodes": 2, "edges": [[0, 5]]}}
+    res = _cli_subprocess(tmp_path, config, "build-matrix", "--out", "g.mtx")
+    assert res.returncode == 2, res.stderr
+    assert "config error" in res.stderr and "matrix.edges" in res.stderr
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "g.mtx").exists()
+
+
+_GRID = {"kind": "grid", "h": 4, "w": 4, "d": 1}
+_TRAIN = {"model": {"layers": [{"heads": [_HEAD]}]}, "data": _MOONS,
+          "train": {"epochs": 2}}
+
+
+def _with(config, path, value):
+    """A deep copy of config with the object at key path `path` set to value."""
+    out = json.loads(json.dumps(config))
+    obj = out
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return out
+
+
+# command, config with only known keys, path of an object, its known keys,
+# and the path the message names
+_UNKNOWN_KEYS = {
+    "matrix.shape": ("build-matrix", {"matrix": _GRID}, ("matrix", "shape"),
+                     {"p_h": 1, "p_w2": 1}, "matrix.shape"),
+    "matrix.packing": ("build-matrix", {"matrix": _GRID}, ("matrix", "packing"),
+                       {"d_h": 2.0, "clip_out_of_grid": True}, "matrix.packing"),
+    "train.optimizer": ("train", _TRAIN, ("train", "optimizer"),
+                        {"kind": "sgd", "lr": 0.1, "momentum": 0.5}, "train.optimizer"),
+    "processors": ("train", _TRAIN, ("model", "layers", 0, "heads", 0, "processors"),
+                   {"output": "tanh", "input": "none"},
+                   "model.layers[0].heads[0].processors"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNKNOWN_KEYS))
+def test_unknown_key_is_config_error(tmp_path, capsys, case):
+    command, base, path, known, where = _UNKNOWN_KEYS[case]
+    assert _run(tmp_path, command, _with(base, path, known)) == 0
+    first = (tmp_path / "out").read_bytes() if command == "build-matrix" else None
+    capsys.readouterr()
+    assert _run(tmp_path, command, _with(base, path, dict(known, bogus="x"))) == 2
+    err = capsys.readouterr().err
+    assert "unknown key 'bogus' at %s" % where in err
+    if first is not None:  # the known keys still give the same matrix
+        assert _run(tmp_path, command, _with(base, path, known)) == 0
+        assert (tmp_path / "out").read_bytes() == first
+
+
+def test_unknown_processor_tag_is_config_error(tmp_path, capsys):
+    path = ("model", "layers", 0, "heads", 0, "processors")
+    assert _run(tmp_path, "train", _with(_TRAIN, path, {"output": "swish"})) == 2
+    err = capsys.readouterr().err
+    assert "'swish'" in err and "model.layers[0].heads[0].processors" in err
+    for tag in [None, "", "none", "tanh", "sigmoid", "relu", "softmax"]:
+        assert _run(tmp_path, "train", _with(_TRAIN, path, {"expansion": tag})) == 0
