@@ -161,9 +161,12 @@ def _matrix_from_config(spec):
         raise ConfigError("unknown matrix kind %r" % kind)
     f = _fields(spec, _MATRIX_FIELDS[kind], "matrix", ("kind",))
     if kind == "identity":
-        return np.eye(f["m"])
+        m = f["m"]
+        if m < 1:
+            raise ValueError("m must be >= 1")
+        return SparseCoo.from_arrays(m, m, np.arange(m), np.arange(m), np.ones(m))
     if kind == "chain":
-        return itd.chain_structural_matrix(**f)
+        return itd.chain_structural_coo(**f)
     if kind == "graph":
         try:
             graph = itd.Graph(f.pop("n_nodes"), f.pop("edges"))

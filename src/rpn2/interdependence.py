@@ -30,6 +30,8 @@ from .numeric_core import (SparseCoo, Tape, as_dense, l1_normalize_node, matrix_
 class Graph:
     def __init__(self, n_nodes, edges, directed=False):
         self.n_nodes = int(n_nodes)
+        if self.n_nodes < 1:
+            raise ValueError("n_nodes must be >= 1")
         self.directed = bool(directed)
         self.edges = []
         for k, (u, v) in enumerate(edges):
@@ -314,27 +316,46 @@ def grid_structural_matrix(grid, shape, packing, mode="padding"):
                                  np.ones(np.count_nonzero(inside)))
 
 
-def _uni_chain_bands(m, variant, hops):
+_CHAIN_VARIANTS = ("onehop", "multihop", "accumulative", "exponential", "reciprocal")
+
+
+def _check_chain(m, direction, variant, hops):
+    """The argument check that the dense and the sparse chain builders share."""
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if variant in ("multihop", "accumulative"):
+        _check_hops(hops)
+        if hops >= m:
+            raise ValueError("hop count must be < m")
+    if direction not in ("uni", "bi"):
+        raise ValueError("direction must be uni or bi")
+    if variant not in _CHAIN_VARIANTS:
+        raise ValueError("unknown chain variant %r" % variant)
+
+
+def _uni_chain_bands(m, variant, hops, include_self):
     """Coefficient c[k] of superdiagonal k of a uni chain matrix.
 
     The uni one-hop shift A is nilpotent, so A^k is all ones on band k and
     every variant is a finite sum of bands: exp(A) has 1/k! on band k (built
     by the same successive division as the power series, so bit-identical to
-    it) and (I - A)^-1 is all ones on and above the diagonal.
+    it) and (I - A)^-1 is all ones on and above the diagonal. include_self
+    adds I to one-hop and multi-hop, that is 1.0 to c[0].
     """
     if variant == "onehop":
-        return np.array([0.0, 1.0])[:m]
-    if variant == "multihop":
+        c = np.array([0.0, 1.0])[:m]
+    elif variant == "multihop":
         c = np.zeros(hops + 1)
         c[hops] = 1.0
-        return c
-    if variant == "accumulative":
-        return np.ones(hops + 1)
-    if variant == "exponential":
-        return np.divide.accumulate(np.r_[1.0, np.arange(1.0, m)])
-    if variant == "reciprocal":
-        return np.ones(m)
-    raise ValueError("unknown chain variant %r" % variant)
+    elif variant == "accumulative":
+        c = np.ones(hops + 1)
+    elif variant == "exponential":
+        c = np.divide.accumulate(np.r_[1.0, np.arange(1.0, m)])
+    else:  # reciprocal
+        c = np.ones(m)
+    if include_self and variant in ("onehop", "multihop"):
+        c[0] += 1.0
+    return c
 
 
 def chain_structural_matrix(m, direction="uni", variant="onehop", hops=1,
@@ -351,38 +372,48 @@ def chain_structural_matrix(m, direction="uni", variant="onehop", hops=1,
     of the path, that is when 3 divides m + 1; the reciprocal then falls back
     to the accumulative walk sum of m - 1 hops.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    if variant in ("multihop", "accumulative"):
-        _check_hops(hops)
-        if hops >= m:
-            raise ValueError("hop count must be < m")
+    _check_chain(m, direction, variant, hops)
     if direction == "uni":
         out = np.zeros((m, m))
         flat = out.reshape(-1)
-        coefs = _uni_chain_bands(m, variant, hops)
+        coefs = _uni_chain_bands(m, variant, hops, include_self)
         for k in np.flatnonzero(coefs):
             flat[k:(m - k) * m:m + 1] = coefs[k]
-    elif direction == "bi":
-        path = Graph(m, zip(range(m - 1), range(1, m)))
-        if variant == "onehop":
-            out = path.adjacency()
-        elif variant in ("multihop", "accumulative"):
-            out = graph_structural_matrix(path, variant, hops)
-        elif variant == "exponential":
-            out = matrix_exp(path.adjacency())
-        elif variant == "reciprocal":
-            if (m + 1) % 3 == 0:
-                out = graph_structural_matrix(path, "accumulative", m - 1)
-            else:
-                out = solve(np.eye(m) - path.adjacency(), np.eye(m))
-        else:
-            raise ValueError("unknown chain variant %r" % variant)
+        return out
+    path = Graph(m, zip(range(m - 1), range(1, m)))
+    if variant == "onehop":
+        out = path.adjacency()
+    elif variant in ("multihop", "accumulative"):
+        out = graph_structural_matrix(path, variant, hops)
+    elif variant == "exponential":
+        out = matrix_exp(path.adjacency())
+    elif (m + 1) % 3 == 0:  # reciprocal of a singular I - A
+        out = graph_structural_matrix(path, "accumulative", m - 1)
     else:
-        raise ValueError("direction must be uni or bi")
+        out = solve(np.eye(m) - path.adjacency(), np.eye(m))
     if include_self and variant in ("onehop", "multihop"):
         out = out + np.eye(m)
     return out
+
+
+def chain_structural_coo(m, direction="uni", variant="onehop", hops=1,
+                         include_self=False):
+    """`chain_structural_matrix` as a SparseCoo, with the same entries.
+
+    A uni chain is emitted straight from its bands in row-major order (band
+    k of row i at column i + k, for k < m - i), so nothing of size m x m is
+    built: O(nnz) time and memory. A bi chain is the dense matrix exported.
+    """
+    _check_chain(m, direction, variant, hops)
+    if direction == "bi":
+        return SparseCoo.from_dense(
+            chain_structural_matrix(m, direction, variant, hops, include_self))
+    coefs = _uni_chain_bands(m, variant, hops, include_self)
+    bands = np.flatnonzero(coefs)
+    counts = np.searchsorted(bands, m - np.arange(m))
+    rows = np.repeat(np.arange(m), counts)
+    k = bands[np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)]
+    return SparseCoo.from_arrays(m, m, rows, rows + k, coefs[k])
 
 
 def _check_hops(hops):
