@@ -203,8 +203,7 @@ def build_transformer_case(prng, tokens=10, width=8, rank=4, out_width=6):
     model = _single(head)
     store = md.ParameterStore()
     # stored-matrix slots: first factor acts as the key map, second as query
-    store.add_slot("l0.h0.inst_prior", (2 * width * rank,),
-                   np.concatenate([w_k.reshape(-1), w_q.reshape(-1)]))
+    store.add_slot("l0.h0.inst_prior", (2 * width * rank,), rc.lorr_vector(w_k, w_q))
     store.add_slot("l0.h0.c0.psi", (out_width * width,), w_v.reshape(-1))
     ref = ref_attention(x, w_q, w_k, w_v, rank)
     return {"x": x, "model": model, "store": store, "ref": ref, "tol": 1e-10}

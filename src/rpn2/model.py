@@ -283,9 +283,8 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
             loss_node = (diff * diff).mean()
             metric = float(np.asarray(loss_node.value).reshape(-1)[0])
         elif loss == "cross_entropy":
-            labels = np.asarray(y, dtype=int)
-            loss_node = cross_entropy_node(out, labels)
-            metric = float((np.argmax(out.value, axis=1) == labels).mean())
+            loss_node = cross_entropy_node(out, y)
+            metric = float((np.argmax(out.value, axis=1) == np.asarray(y)).mean())
         else:
             raise ValueError("unknown loss %r" % loss)
         lv = float(np.asarray(loss_node.value).reshape(-1)[0])

@@ -377,14 +377,25 @@ class Prng:
 
 
 class Node:
-    __slots__ = ("tape", "value", "vjps", "nid", "is_param", "name")
+    """One value on a tape and the VJPs that carry its gradient back.
+
+    A node needs a gradient when it is a parameter or when one of its
+    parents needs one. Only those parents keep their (parent, closure) pair
+    in `vjps`, so a branch built from constants alone (the input, its
+    expansion, a product of constants, a regression target) records no VJP
+    and `Tape.backward` never evaluates one for it.
+    """
+
+    __slots__ = ("tape", "value", "vjps", "nid", "is_param", "name", "needs_grad")
     # numpy scalars on the left defer to the reflected operators below
     __array_ufunc__ = None
 
     def __init__(self, tape, value, vjps, is_param=False, name=None):
         self.tape = tape
         self.value = np.asarray(value, dtype=float)
-        self.vjps = vjps  # list of (parent Node, closure grad -> parent grad)
+        # list of (parent Node, closure grad -> parent grad)
+        self.vjps = [pair for pair in vjps if pair[0].needs_grad]
+        self.needs_grad = is_param or bool(self.vjps)
         self.is_param = is_param
         self.name = name
         self.nid = len(tape.nodes)
@@ -430,16 +441,20 @@ class Node:
         s = float(s)
         return Node(self.tape, self.value * s, [(self, lambda g: g * s)])
 
-    def take(self, lo, hi):
-        """Entries lo..hi of the flattened value; the VJP scatters into zeros."""
-        shape = self.value.shape
+    def take(self, lo, hi, shape=None):
+        """Entries lo..hi of the flattened value, in `shape` when one is
+        given (one node, not a slice and a reshape); the VJP scatters into
+        zeros."""
+        old = self.value.shape
 
         def vjp(g):
             out = np.zeros(self.value.size)
             out[lo:hi] = g.reshape(-1)
-            return out.reshape(shape)
+            return out.reshape(old)
 
-        return Node(self.tape, self.value.reshape(-1)[lo:hi], [(self, vjp)])
+        value = self.value.reshape(-1)[lo:hi]
+        return Node(self.tape, value if shape is None else value.reshape(shape),
+                    [(self, vjp)])
 
     def matmul(self, other):
         if isinstance(other, SparseCoo):
@@ -558,21 +573,45 @@ def blocks_dot(a, w, block_count, block_size):
     return Node(a.tape, out, [(a, vjp_a), (w, vjp_w)])
 
 
+def _class_labels(labels, rows, classes):
+    """labels as int64 class indices, one per row, each in [0, classes)."""
+    y = np.asarray(labels)
+    if y.shape != (rows,):
+        raise ValueError("cross entropy needs one label per row: %d rows, labels of shape %s"
+                         % (rows, y.shape))
+    if y.dtype.kind not in "biu" and not (
+            y.dtype.kind == "f" and np.all(np.isfinite(y)) and np.all(y == np.floor(y))):
+        raise ValueError("cross entropy labels must be integers")
+    if y.size and (y.min() < 0 or y.max() >= classes):
+        raise ValueError("cross entropy labels must lie in [0, %d); got %g .. %g"
+                         % (classes, y.min(), y.max()))
+    return y.astype(np.int64)
+
+
 def cross_entropy_node(logits, labels):
-    """Mean cross entropy from logits via a stable log-softmax."""
+    """Mean cross entropy from logits via a stable log-softmax.
+
+    `labels` holds one class index in [0, classes) per row; anything else
+    raises ValueError. The class-axis max and sum run on a column-major copy
+    of the logits, so each walks the batch in contiguous runs instead of one
+    short row at a time. The max is exact, and so is the sum below 8
+    classes, where numpy adds a row left to right as the column-major walk
+    does; from 8 classes on, the sum may differ from a row-major one in the
+    last bits.
+    """
     z = logits.value
-    zs = z - z.max(axis=1, keepdims=True)
-    logsumexp = np.log(np.exp(zs).sum(axis=1, keepdims=True))
-    logp = zs - logsumexp
-    b = z.shape[0]
-    labels = np.asarray(labels, dtype=int)
-    loss = -logp[np.arange(b), labels].mean()
-    p = np.exp(logp)
-    onehot = np.zeros_like(z)
-    onehot[np.arange(b), labels] = 1.0
+    b, classes = z.shape
+    labels = _class_labels(labels, b, classes)
+    rows = np.arange(b)
+    zs = np.asfortranarray(z)
+    zs = zs - zs.max(axis=1, keepdims=True)
+    logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+    loss = -logp[rows, labels].mean()
+    residual = np.ascontiguousarray(np.exp(logp))  # softmax minus the one-hot labels
+    residual[rows, labels] -= 1.0
 
     def vjp(g):
-        return float(np.asarray(g).reshape(-1)[0]) * (p - onehot) / b
+        return float(np.asarray(g).reshape(-1)[0]) * residual / b
 
     return Node(logits.tape, np.array([[loss]]), [(logits, vjp)])
 

@@ -97,8 +97,14 @@ def reconcile(spec, w=None):
 def lorr_factors(w_node, n, D, rank):
     """The n x rank and D x rank factor nodes a lorr vector holds in turn."""
     na = n * rank
-    return (w_node.take(0, na).reshape((n, rank)),
-            w_node.take(na, na + D * rank).reshape((D, rank)))
+    return w_node.take(0, na, (n, rank)), w_node.take(na, na + D * rank, (D, rank))
+
+
+def lorr_vector(a, b):
+    """The lorr vector of factors a (n x rank) and b (D x rank): the inverse
+    of lorr_factors."""
+    return np.concatenate([np.asarray(a, dtype=float).reshape(-1),
+                           np.asarray(b, dtype=float).reshape(-1)])
 
 
 def reconcile_node(spec, w_node):
@@ -114,8 +120,8 @@ def reconcile_node(spec, w_node):
         return wa.matmul(wb.transpose())
     if spec.method == "vera":
         fr = frozen_randoms(spec)
-        lam1 = w_node.take(0, spec.n).reshape((spec.n, 1))
-        lam2 = w_node.take(spec.n, spec.n + spec.rank).reshape((1, spec.rank))
+        lam1 = w_node.take(0, spec.n, (spec.n, 1))
+        lam2 = w_node.take(spec.n, spec.n + spec.rank, (1, spec.rank))
         scaled = (lam1 * t.constant(fr.A)) * lam2
         return scaled.matmul(t.constant(fr.B.T))
     if spec.method == "hypernet_lowrank":
