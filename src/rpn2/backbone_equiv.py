@@ -20,44 +20,48 @@ from . import transformation as tf
 # references, written without the head machinery
 
 
+def _offset_values(x, grid, shape, packing):
+    """For each patch offset, in patch_offsets order, the b x centers values
+    of the cells at center + offset. They are read from the batch viewed as
+    (b, h, w, d) and zero-padded with np.pad, so a cell outside the grid
+    reads 0.0; the patch index is not used."""
+    offsets = np.asarray(gg.patch_offsets(shape), dtype=np.int64).reshape(-1, 3)
+    centers = np.asarray(gg.packing_centers(grid, packing, shape), dtype=np.int64).reshape(-1, 3)
+    dims = np.array([grid.h, grid.w, grid.d])
+    coords = (centers[:, None, :] + offsets[None, :, :]).reshape(-1, 3)
+    lo = np.maximum(-coords.min(axis=0, initial=0), 0)
+    hi = np.maximum(coords.max(axis=0, initial=0) - dims + 1, 0)
+    xp = np.pad(x.reshape(x.shape[0], grid.h, grid.w, grid.d),
+                [(0, 0)] + list(zip(lo.tolist(), hi.tolist())))
+    for offset in offsets:
+        i, j, k = (centers + offset + lo).T
+        yield xp[:, i, j, k]
+
+
 def ref_cross_correlation(x, grid, shape, packing, kernel):
-    """Sliding zero-padded cross correlation over the flattened grid."""
+    """Sliding zero-padded cross correlation over the flattened grid.
+
+    Each center sums kernel[slot] * cell over the slots in offset order,
+    starting from 0.0. A slot outside the grid adds kernel[slot] * 0.0, which
+    leaves the sum as it is for a finite kernel."""
     x = np.asarray(x, dtype=float)
     kernel = np.asarray(kernel, dtype=float).reshape(-1)
-    offsets = gg.patch_offsets(shape)
-    centers = gg.packing_centers(grid, packing, shape)
-    out = np.zeros((x.shape[0], len(centers)))
-    for ci, (i0, j0, k0) in enumerate(centers):
-        for slot, (di, dj, dk) in enumerate(offsets):
-            i, j, k = i0 + di, j0 + dj, k0 + dk
-            if 0 <= i < grid.h and 0 <= j < grid.w and 0 <= k < grid.d:
-                out[:, ci] += kernel[slot] * x[:, gg.index_of((i, j, k), grid)]
+    out = 0.0
+    for slot, vals in enumerate(_offset_values(x, grid, shape, packing)):
+        out = out + kernel[slot] * vals
     return out
 
 
 def ref_pool(x, grid, shape, packing, kind="max"):
     """Zero-padded window pooling; each patch position contributes, cells
-    outside the grid count as zeros."""
+    outside the grid count as zeros. Each center's window is reduced as one
+    contiguous run of values in offset order."""
+    reduce = {"max": np.max, "min": np.min, "mean": np.mean}.get(kind)
+    if reduce is None:
+        raise ValueError("unknown pooling kind %r" % kind)
     x = np.asarray(x, dtype=float)
-    offsets = gg.patch_offsets(shape)
-    centers = gg.packing_centers(grid, packing, shape)
-    p = len(offsets)
-    out = np.zeros((x.shape[0], len(centers)))
-    for ci, (i0, j0, k0) in enumerate(centers):
-        vals = np.zeros((x.shape[0], p))
-        for slot, (di, dj, dk) in enumerate(offsets):
-            i, j, k = i0 + di, j0 + dj, k0 + dk
-            if 0 <= i < grid.h and 0 <= j < grid.w and 0 <= k < grid.d:
-                vals[:, slot] = x[:, gg.index_of((i, j, k), grid)]
-        if kind == "max":
-            out[:, ci] = vals.max(axis=1)
-        elif kind == "min":
-            out[:, ci] = vals.min(axis=1)
-        elif kind == "mean":
-            out[:, ci] = vals.mean(axis=1)
-        else:
-            raise ValueError("unknown pooling kind %r" % kind)
-    return out
+    # (b, centers, p), C-ordered: each window is contiguous
+    return reduce(np.stack(list(_offset_values(x, grid, shape, packing)), axis=2), axis=2)
 
 
 def ref_rnn_scan(x, u, variant="onehop"):
@@ -136,13 +140,18 @@ def build_cnn_case(prng, batch=4):
     return {"x": x, "model": model, "store": store, "ref": ref, "tol": 1e-10}
 
 
+# ref_pool kind -> the compress_patch operator that computes it
+_POOL_OPERATORS = {"max": "max", "min": "min", "mean": "arith_mean"}
+
+
 def build_pool_case(prng, batch=4, kind="max"):
     grid = gg.GridSpec(8, 8, 1)
     shape = gg.Cuboid(0, 1, 0, 1, 0, 0)  # 2x2 window anchored at the center
     packing = gg.PackingSpec(2.0, 2.0, 1.0, clip_out_of_grid=True)
+    if kind not in _POOL_OPERATORS:
+        raise ValueError("unknown pooling kind %r" % kind)
     x = prng.normals((batch, grid.size))
-    got = tf.compress_patch(x, grid, shape, packing, "operator",
-                            "max" if kind == "max" else "arith_mean")
+    got = tf.compress_patch(x, grid, shape, packing, "operator", _POOL_OPERATORS[kind])
     ref = ref_pool(x, grid, shape, packing, kind)
     return {"x": x, "got": got, "ref": ref, "tol": 0.0}
 

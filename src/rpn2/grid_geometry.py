@@ -6,9 +6,14 @@ offset sets around a center; packings place centers at integer multiples of
 the center distances (d_h, d_w, d_d), rounded half-up when the distances are
 irrational. Centers produced by the literal floor formula may fall outside the
 grid; their patch cells are zero-padded unless clipping is requested.
+
+The patch index of a (grid, shape, packing) geometry is resolved once and
+kept, read-only, in a small cache keyed on that frozen triple.
 """
 
+import collections
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,12 +195,35 @@ def patch_cells(center, offsets, grid):
     return cells
 
 
-def patch_index(grid, shape, packing):
-    """Flat cell index of every patch slot: row c, column s is the cell at
-    center c (packing_centers order) plus offset s (patch_offsets order), or
-    grid.size where that cell falls outside the grid (the zero-pad slot).
-    Centers and offsets are broadcast against each other, with no loop over
-    cells."""
+# (grid, shape, packing) -> (index, pads_last), least recently used first;
+# at most _PATCH_TABLES_KEPT geometries are kept
+_PATCH_TABLES = collections.OrderedDict()
+_PATCH_TABLES_KEPT = 16
+_PATCH_TABLES_LOCK = threading.Lock()
+
+
+def _patch_tables(grid, shape, packing):
+    """(index, pads_last) of a geometry, both read-only, built on first use
+    and kept in a small least-recently-used cache keyed on the frozen
+    (GridSpec, shape, PackingSpec) triple, never on data. `index` is
+    `patch_index`; `pads_last` reorders each of its rows, stably, so that the
+    in-grid cells come first in offset order and the pad slots last, the order
+    in which `transformation.compress_patch` reduces a patch."""
+    key = (grid, shape, packing)
+    with _PATCH_TABLES_LOCK:
+        tables = _PATCH_TABLES.get(key)
+        if tables is not None:
+            _PATCH_TABLES.move_to_end(key)
+            return tables
+    tables = _build_patch_tables(grid, shape, packing)
+    with _PATCH_TABLES_LOCK:
+        tables = _PATCH_TABLES.setdefault(key, tables)
+        if len(_PATCH_TABLES) > _PATCH_TABLES_KEPT:
+            _PATCH_TABLES.popitem(last=False)
+    return tables
+
+
+def _build_patch_tables(grid, shape, packing):
     offsets = np.asarray(patch_offsets(shape), dtype=np.int64).reshape(-1, 3)
     centers = _center_array(grid, packing, shape)
     flat = np.zeros((len(centers), len(offsets)), dtype=np.int64)
@@ -204,7 +232,20 @@ def patch_index(grid, shape, packing):
         coord = centers[:, axis, None] + offsets[None, :, axis]
         inside &= (coord >= 0) & (coord < extent)
         flat = flat * extent + coord
-    return np.where(inside, flat, grid.size)
+    index = np.where(inside, flat, grid.size)
+    pads_last = np.take_along_axis(index, np.argsort(~inside, axis=1, kind="stable"), axis=1)
+    for a in (index, pads_last):
+        a.flags.writeable = False
+    return index, pads_last
+
+
+def patch_index(grid, shape, packing):
+    """Flat cell index of every patch slot: row c, column s is the cell at
+    center c (packing_centers order) plus offset s (patch_offsets order), or
+    grid.size where that cell falls outside the grid (the zero-pad slot).
+    Centers and offsets are broadcast against each other, with no loop over
+    cells. Resolved once per geometry and shared: the array is read-only."""
+    return _patch_tables(grid, shape, packing)[0]
 
 
 def coverage_stats(grid, shape, packing, boundary_margin=None):

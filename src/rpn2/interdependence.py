@@ -224,6 +224,10 @@ def statistical_kernel_matrix(x, kind):
             var = np.diag(sigma)
             denom = np.sqrt(np.outer(var ** 2, var ** 2))
             return sigma ** 2 / np.where(denom > 0, denom, 1.0)
+        # with 2 rows any two columns are perfectly correlated, so every
+        # off-diagonal entry would be set by the ridge floor alone
+        if b < 3:
+            raise ValueError("the mutual_info kernel needs at least 3 rows")
         # ridge keeps rank-deficient small batches out of trouble
         ridge = 1e-8
         var = np.diag(sigma) + ridge

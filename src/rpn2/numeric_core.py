@@ -97,7 +97,9 @@ class SparseCoo:
 
     def _rmatmul_plan(self):
         """(src, scale, passes) of rmatmul, computed on first use and kept:
-        the entries never change after construction."""
+        the entries never change after construction. `scale` is None for a
+        unit plan: every column's first entry is 1.0 and every empty column
+        gathers the pad, so the first pass needs no scaling."""
         if self._plan is None:
             order = np.argsort(self.col_idx, kind="stable")
             col = self.col_idx[order]
@@ -116,6 +118,8 @@ class SparseCoo:
                 e = later[lo:lo + count]
                 lo += count
                 passes.append((self.col_idx[e], self.row_idx[e], self.vals[e]))
+            if np.all((scale == 1.0) | (src == self.rows)):
+                scale = None
             self._plan = (src, scale, passes)
         return self._plan
 
@@ -129,16 +133,24 @@ class SparseCoo:
         such as a grid padding matrix, costs one gather and reproduces the
         dense product exactly. Pass k adds the k-th entry of each column that
         has one. The column order and passes are planned once per matrix
-        (`_rmatmul_plan`). The result is a new C-contiguous array.
+        (`_rmatmul_plan`). On a unit plan the first pass adds the 0.0 to the
+        padded batch before the gather and skips the scaling, which is exact:
+        (v * 1.0) + 0.0 == v + 0.0 for every float. The result is a new
+        C-contiguous array.
         """
         x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.rows:
             raise ValueError("dimension mismatch: %s x (%d, %d)"
                              % (x.shape, self.rows, self.cols))
         src, scale, passes = self._rmatmul_plan()
-        out = np.take(np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1), src, axis=1)
-        out *= scale
-        out += 0.0  # the sum from 0.0 turns a -0.0 product into 0.0
+        xpad = np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
+        if scale is None:
+            xpad += 0.0  # the sum from 0.0 turns -0.0 into 0.0
+            out = np.take(xpad, src, axis=1)
+        else:
+            out = np.take(xpad, src, axis=1)
+            out *= scale
+            out += 0.0
         for cols, rows, vals in passes:
             terms = np.take(x, rows, axis=1)
             terms *= vals

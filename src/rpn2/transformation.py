@@ -304,19 +304,37 @@ def _patch_operator(vals, kind):
     raise ValueError("unknown operator kind %r" % kind)
 
 
+# Patch reductions whose value does not depend on the order of the patch's
+# values, each as its reduction across axis 1 of a slot-major (b, p, P) gather.
+_ORDER_FREE = {
+    ("operator", "max"): lambda v: np.max(v, axis=1),
+    ("operator", "min"): lambda v: np.min(v, axis=1),
+    ("norm", "inf"): lambda v: np.max(np.abs(v), axis=1, initial=0.0),
+}
+_ORDER_FREE[("norm", np.inf)] = _ORDER_FREE[("norm", "inf")]
+
+
 def compress_patch(x, grid, shape, packing, mapping="operator", kind="max"):
     """Per instance, per packing center: gather the zero-padded patch and
     apply the mapping. Output width = number of patches.
 
-    One gather through gg.patch_index, with each patch's in-grid cells first
-    in offset order and its zero pads last, then one reduction along the
-    patch axis."""
+    One gather through the geometry's cached patch index (`grid_geometry`
+    resolves it once per (grid, shape, packing)), with each patch's in-grid
+    cells first in offset order and its zero pads last, then one reduction.
+    An order-free reduction (max, min, the inf norm) gathers slot-major,
+    (b, p, P), and reduces across the slots, which is several times faster
+    than along short contiguous patches; where a patch ties -0.0 with 0.0 it
+    may return either zero (the two compare equal), and a patch holding a NaN
+    still gives NaN. Every other mapping reduces each patch as one
+    contiguous run, in the order of a 1-D patch."""
     x = np.asarray(x, dtype=float)
     if x.shape[1] != grid.size:
         raise ValueError("batch width must equal the grid size")
-    idx = gg.patch_index(grid, shape, packing)
-    idx = np.take_along_axis(idx, np.argsort(idx == grid.size, axis=1, kind="stable"), axis=1)
+    idx = gg._patch_tables(grid, shape, packing)[1]
     xpad = np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1)
+    order_free = _ORDER_FREE.get((mapping, kind)) if isinstance(kind, (str, float)) else None
+    if order_free is not None:
+        return order_free(np.take(xpad, idx.T, axis=1))
     # np.take keeps the gather C-contiguous, so each patch is reduced as one
     # contiguous run, in the same order as a 1-D patch (x[:, idx] is not)
     return np.asarray(_patch_map(np.take(xpad, idx, axis=1), mapping, kind), dtype=float)

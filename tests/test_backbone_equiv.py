@@ -175,3 +175,82 @@ def test_gnn_case_edges_match_scalar_loop(nodes):
     assert case["x"].tobytes() == b.normals((nodes, 6)).tobytes()
     b.normals((4, 6))
     assert a.next_u64() == b.next_u64()
+
+
+# ---------------------------------------------------------------------------
+# the vectorised references against their loop definitions
+
+
+def loop_ref_cross_correlation(x, grid, shape, packing, kernel):
+    x = np.asarray(x, dtype=float)
+    kernel = np.asarray(kernel, dtype=float).reshape(-1)
+    offsets = gg.patch_offsets(shape)
+    centers = gg.packing_centers(grid, packing, shape)
+    out = np.zeros((x.shape[0], len(centers)))
+    for ci, (i0, j0, k0) in enumerate(centers):
+        for slot, (di, dj, dk) in enumerate(offsets):
+            i, j, k = i0 + di, j0 + dj, k0 + dk
+            if 0 <= i < grid.h and 0 <= j < grid.w and 0 <= k < grid.d:
+                out[:, ci] += kernel[slot] * x[:, gg.index_of((i, j, k), grid)]
+    return out
+
+
+def loop_ref_pool(x, grid, shape, packing, kind="max"):
+    x = np.asarray(x, dtype=float)
+    offsets = gg.patch_offsets(shape)
+    centers = gg.packing_centers(grid, packing, shape)
+    out = np.zeros((x.shape[0], len(centers)))
+    for ci, (i0, j0, k0) in enumerate(centers):
+        vals = np.zeros((x.shape[0], len(offsets)))
+        for slot, (di, dj, dk) in enumerate(offsets):
+            i, j, k = i0 + di, j0 + dj, k0 + dk
+            if 0 <= i < grid.h and 0 <= j < grid.w and 0 <= k < grid.d:
+                vals[:, slot] = x[:, gg.index_of((i, j, k), grid)]
+        out[:, ci] = {"max": vals.max, "min": vals.min, "mean": vals.mean}[kind](axis=1)
+    return out
+
+
+# cuboid, cylinder and sphere patches; strides, hexagonal and cubic packings;
+# centers outside the grid (clip off) and clipped
+REF_LAYOUTS = [
+    (gg.GridSpec(8, 8, 3), gg.Cuboid(1, 1, 1, 1, 1, 1),
+     gg.PackingSpec(1, 1, 1, clip_out_of_grid=True)),
+    (gg.GridSpec(7, 5, 2), gg.Cuboid(0, 2, 1, 0, 0, 1), gg.PackingSpec(2, 3, 1)),
+    (gg.GridSpec(9, 10, 1), gg.Cylinder(2), gg.PackingSpec(strategy="sparse_hexagonal")),
+    (gg.GridSpec(9, 9, 2), gg.Cylinder(2, 0, 1),
+     gg.PackingSpec(strategy="complete_square", clip_out_of_grid=True)),
+    (gg.GridSpec(6, 6, 6), gg.Sphere(1), gg.PackingSpec(strategy="complete_cubic")),
+    (gg.GridSpec(4, 4, 1), gg.Cuboid(0, 1, 0, 1, 0, 0),
+     gg.PackingSpec(2, 2, 1, clip_out_of_grid=True)),
+]
+
+
+@pytest.mark.parametrize("layout", range(len(REF_LAYOUTS)))
+def test_references_equal_their_loop_definitions_byte_for_byte(layout):
+    grid, shape, packing = REF_LAYOUTS[layout]
+    rng = np.random.default_rng(20 + layout)
+    x = rng.standard_normal((5, grid.size))
+    x[0, ::3] = -0.0
+    x[1, ::4] = 0.0
+    kernel = rng.standard_normal(gg.patch_size(shape))
+    kernel[0] = 0.0
+    got = be.ref_cross_correlation(x, grid, shape, packing, kernel)
+    assert got.tobytes() == loop_ref_cross_correlation(x, grid, shape, packing, kernel).tobytes()
+    for kind in ("max", "min", "mean"):
+        got = be.ref_pool(x, grid, shape, packing, kind)
+        assert got.tobytes() == loop_ref_pool(x, grid, shape, packing, kind).tobytes(), kind
+    with pytest.raises(ValueError):
+        be.ref_pool(x, grid, shape, packing, "median")
+
+
+@pytest.mark.parametrize("kind", ["max", "min", "mean"])
+def test_pool_case_pools_with_the_operator_of_its_kind(kind):
+    for seed in (3, 4, 5):
+        case = be.build_pool_case(Prng(seed), kind=kind)
+        assert case["tol"] == 0.0
+        assert float(np.max(np.abs(case["got"] - case["ref"]))) == 0.0
+
+
+def test_pool_case_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="pooling kind"):
+        be.build_pool_case(Prng(3), kind="median")

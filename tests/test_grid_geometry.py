@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,3 +116,71 @@ def test_coverage_sparse_leaves_gaps():
     stats = gg.coverage_stats(gg.GridSpec(256, 256, 1), gg.Cylinder(16),
                               gg.PackingSpec(strategy="sparse_square"))
     assert 0.7 < stats["coverage_ratio"] < 0.82
+
+
+def test_patch_index_is_cached_per_geometry_and_read_only():
+    gg._PATCH_TABLES.clear()
+    args = (gg.GridSpec(6, 5, 2), gg.Cuboid(1, 0, 1, 1, 0, 1),
+            gg.PackingSpec(2.0, 1.0, 1.0, clip_out_of_grid=True))
+    # equal frozen triples built separately share one entry
+    twin = (gg.GridSpec(6, 5, 2), gg.Cuboid(1, 0, 1, 1, 0, 1),
+            gg.PackingSpec(2.0, 1.0, 1.0, clip_out_of_grid=True))
+    assert twin is not args and twin == args
+    idx = gg.patch_index(*args)
+    assert gg.patch_index(*twin) is idx
+    index, pads_last = gg._patch_tables(*twin)
+    assert index is idx
+    assert list(gg._PATCH_TABLES) == [args]
+    for a in (index, pads_last):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0, 0] = 0
+    # pads_last: each row's in-grid cells in offset order, then its pads
+    for row, ordered in zip(index, pads_last):
+        cells = row[row < 60].tolist()
+        assert ordered.tolist() == cells + [60] * (row.size - len(cells))
+
+
+def test_patch_index_cache_is_bounded():
+    gg._PATCH_TABLES.clear()
+    shape, packing = gg.Cuboid(1, 1, 1, 1), gg.PackingSpec()
+    first = gg.patch_index(gg.GridSpec(3, 3, 1), shape, packing)
+    for h in range(4, 4 + 2 * gg._PATCH_TABLES_KEPT):
+        gg.patch_index(gg.GridSpec(h, 3, 1), shape, packing)
+        assert len(gg._PATCH_TABLES) <= gg._PATCH_TABLES_KEPT
+    assert len(gg._PATCH_TABLES) == gg._PATCH_TABLES_KEPT
+    # the oldest geometry was dropped and is rebuilt equal, as a new array
+    again = gg.patch_index(gg.GridSpec(3, 3, 1), shape, packing)
+    assert again is not first and np.array_equal(again, first)
+
+
+def test_patch_index_cache_under_threads():
+    # more threads than cores cycle through more geometries than the cache
+    # keeps, so entries are added and dropped while others are read
+    shape, packing = gg.Cuboid(1, 1, 1, 1), gg.PackingSpec(2.0, 1.0, 1.0)
+    grids = [gg.GridSpec(h, 4, 1) for h in range(3, 3 + gg._PATCH_TABLES_KEPT + 8)]
+    want = {g: gg._build_patch_tables(g, shape, packing)[0] for g in grids}
+    errors = []
+
+    def worker(offset):
+        try:
+            for r in range(40):
+                g = grids[(offset + 7 * r) % len(grids)]
+                if not np.array_equal(gg.patch_index(g, shape, packing), want[g]):
+                    errors.append(g)
+        except Exception as exc:  # a lost update surfaces as KeyError here
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(gg._PATCH_TABLES) <= gg._PATCH_TABLES_KEPT

@@ -510,3 +510,14 @@ def test_graph_pagerank_singular_on_the_triangle():
     with pytest.raises(SingularMatrixError):
         itd.graph_structural_matrix(triangle, "pagerank", alpha=0.5,
                                     normalization="none")
+
+
+def test_mutual_info_rejects_fewer_than_three_rows():
+    x = np.random.default_rng(4).standard_normal((2, 4))
+    with pytest.raises(ValueError, match="at least 3 rows"):
+        itd.statistical_kernel_matrix(x, "mutual_info")
+    # the other kernels still take two rows
+    for kind in ("pearson", "rv"):
+        assert itd.statistical_kernel_matrix(x, kind).shape == (4, 4)
+    assert itd.statistical_kernel_matrix(
+        np.random.default_rng(4).standard_normal((3, 4)), "mutual_info").shape == (4, 4)

@@ -543,3 +543,118 @@ def test_build_matrix_files_match_the_dict_export(tmp_path, spec):
              "nnz_ratio": want.nnz / float(want.rows * want.cols)}
     want_stats = json.dumps(stats, indent=2, sort_keys=True) + "\n"
     assert (tmp_path / "m.mtx.stats.json").read_text() == want_stats
+
+
+# ---------------------------------------------------------------------------
+# the grid op's shortcuts: the unit first pass of rmatmul and slot-major
+# max/min pooling
+
+
+def _first_pass_with_scale(s, x):
+    """rmatmul's first pass as planned for any matrix: gather, scale, add 0.0."""
+    src = np.full(s.cols, s.rows)
+    scale = np.zeros(s.cols)
+    for i, j, v in reversed(s.triplets):  # the lowest row of each column wins
+        src[j], scale[j] = i, v
+    out = np.take(np.concatenate([x, np.zeros((x.shape[0], 1))], axis=1), src, axis=1)
+    out *= scale
+    out += 0.0
+    return out
+
+
+def _special_batch(rng, rows, count):
+    vals = np.array([0.0, -0.0, np.nan, np.inf, -np.inf, 1.5, -2.0])
+    return rng.choice(vals, size=(count, rows), p=[0.25, 0.25, 0.1, 0.1, 0.1, 0.1, 0.1])
+
+
+def test_rmatmul_unit_plan_equals_the_scaled_first_pass_on_special_values():
+    g = itd.grid_structural_matrix(gg.GridSpec(8, 8, 3), gg.Cuboid(1, 1, 1, 1, 1, 1),
+                                   gg.PackingSpec(1, 1, 1, clip_out_of_grid=True))
+    src, scale, passes = g._rmatmul_plan()
+    assert scale is None and passes == []
+    x = _special_batch(np.random.default_rng(4), g.rows, 8)
+    with np.errstate(invalid="ignore"):
+        got = g.rmatmul(x)
+        want = _first_pass_with_scale(g, x)
+    assert got.flags.c_contiguous
+    assert got.tobytes() == want.tobytes()
+    # -0.0 reads as 0.0, as the sum from 0.0 gives; NaN and +-inf pass through
+    assert not np.any(np.signbit(got) & (got == 0.0))
+    assert np.isnan(got).any() and np.isinf(got).any()
+
+
+def test_rmatmul_unit_plan_equals_the_dense_product_with_signed_zeros():
+    for clip in (True, False):
+        g = itd.grid_structural_matrix(gg.GridSpec(5, 6, 3), gg.Cuboid(1, 1, 1, 1, 1, 1),
+                                       gg.PackingSpec(2, 1, 1, clip_out_of_grid=clip))
+        assert g._rmatmul_plan()[1] is None
+        x = np.random.default_rng(5).choice(np.array([0.0, -0.0, 1.0, -3.5]),
+                                            size=(6, g.rows))
+        assert g.rmatmul(x).tobytes() == (x @ g.to_dense()).tobytes()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS, ids=LAYOUT_IDS)
+def test_aggregation_and_scaled_grid_products_match_the_column_sum(layout):
+    # the aggregation matrix is a unit plan with later passes; scaled, the
+    # same structure takes the scale pass; both stay the sequential column sum
+    grid, shape, packing = layout
+    agg = itd.grid_structural_matrix(grid, shape, packing, "aggregation")
+    scaled = SparseCoo.from_arrays(agg.rows, agg.cols, agg.row_idx, agg.col_idx,
+                                   agg.vals * -0.75)
+    assert agg._rmatmul_plan()[1] is None and agg._rmatmul_plan()[2]
+    assert scaled._rmatmul_plan()[1] is not None
+    x = _special_batch(np.random.default_rng(6), agg.rows, 5)
+    for s in (agg, scaled):
+        want = np.zeros((x.shape[0], s.cols))
+        with np.errstate(invalid="ignore"):
+            for i, j, v in s.triplets:
+                want[:, j] += x[:, i] * v
+            got = s.rmatmul(x)
+        # a NaN's sign bit follows operand order (term + sum here, sum + term
+        # in the loop), so NaNs are compared by position
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+        finite = np.where(np.isfinite(x), x, 1.0)
+        assert s.rmatmul(finite).tobytes() == (finite @ s.to_dense()).tobytes()
+
+
+def test_rmatmul_scaled_first_entries_take_the_scale_pass():
+    rng = np.random.default_rng(7)
+    a = np.zeros((6, 5))
+    a[rng.integers(0, 6, 5), np.arange(5)] = [1.0, 1.0, 2.5, 1.0, -1.0]
+    a[:, 3] = 0.0  # an empty column
+    s = SparseCoo.from_dense(a)
+    assert s._rmatmul_plan()[1] is not None
+    x = rng.choice(np.array([0.0, -0.0, 2.0, -1.25]), size=(4, 6))
+    assert s.rmatmul(x).tobytes() == (x @ a).tobytes()
+    assert s.rmatmul(x).tobytes() == _first_pass_with_scale(s, x).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["max", "min"])
+def test_slot_major_pooling_matches_the_row_loop_on_special_values(kind):
+    # NaN positions and every value agree with the row loop; where a patch
+    # ties -0.0 with 0.0 either zero may come back
+    rng = np.random.default_rng(13)
+    for grid, shape, packing in LAYOUTS:
+        x = _special_batch(rng, grid.size, 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            got = tf.compress_patch(x, grid, shape, packing, "operator", kind)
+            want = row_compress_patch(x, grid, shape, packing, "operator", kind)
+        assert got.shape == want.shape and got.flags.c_contiguous
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert np.array_equal(got[~nan], want[~nan])
+        nonzero = ~nan & (want != 0.0)
+        assert got[nonzero].tobytes() == want[nonzero].tobytes()
+
+
+def test_slot_major_inf_norm_matches_the_row_loop_byte_for_byte():
+    rng = np.random.default_rng(14)
+    for grid, shape, packing in LAYOUTS:
+        x = _special_batch(rng, grid.size, 4)
+        for kind in ("inf", np.inf):
+            got = tf.compress_patch(x, grid, shape, packing, "norm", kind)
+            want = row_compress_patch(x, grid, shape, packing, "norm", kind)
+            assert got.tobytes() == want.tobytes()
