@@ -116,44 +116,46 @@ def _single(head):
     return md.ModelConfig([md.LayerConfig([head])])
 
 
-def build_cnn_case(prng, batch=4):
-    grid = gg.GridSpec(8, 8, 3)
-    shape = gg.Cuboid(1, 1, 1, 1, 1, 1)
-    packing = gg.PackingSpec(1.0, 1.0, 1.0, clip_out_of_grid=True)
+def _patch_case(grid, shape, packing, x, kernels, fusion, ref, tol):
+    """The patch head over a grid geometry: the padding grid matrix lays each
+    center's window out as one block of slots, and duplicated padding dots
+    every block with channel c's kernel; the channels are fused by `fusion`."""
     p = gg.patch_size(shape)
-    centers = gg.packing_centers(grid, packing, shape)
-    p_count = len(centers)
-    x = prng.normals((batch, grid.size))
-    kernel = prng.normals((p,))
-
+    p_count = len(gg.packing_centers(grid, packing, shape))
     head = md.HeadConfig(
         m=grid.size, n=p_count,
         expansion=tf.ExpansionSpec("identity"),
         reconciliation=rc.ReconciliationSpec("duplicated_padding", n=p_count,
                                              D=p * p_count, p=p, p_count=p_count),
+        channels=len(kernels), channel_fusion=fusion,
         attr_prior=itd.InterdependenceSpec(
             itd.GridStructural(grid, shape, packing, "padding")))
-    model = _single(head)
     store = md.ParameterStore()
-    store.add_slot("l0.h0.c0.psi", (p,), kernel)
-    ref = ref_cross_correlation(x, grid, shape, packing, kernel)
-    return {"x": x, "model": model, "store": store, "ref": ref, "tol": 1e-10}
+    for c, kernel in enumerate(kernels):
+        store.add_slot("l0.h0.c%d.psi" % c, (p,), kernel)
+    return {"x": x, "model": _single(head), "store": store, "ref": ref, "tol": tol}
 
 
-# ref_pool kind -> the compress_patch operator that computes it
-_POOL_OPERATORS = {"max": "max", "min": "min", "mean": "arith_mean"}
+def build_cnn_case(prng, batch=4):
+    grid = gg.GridSpec(8, 8, 3)
+    shape = gg.Cuboid(1, 1, 1, 1, 1, 1)
+    packing = gg.PackingSpec(1.0, 1.0, 1.0, clip_out_of_grid=True)
+    x = prng.normals((batch, grid.size))
+    kernel = prng.normals((gg.patch_size(shape),))
+    return _patch_case(grid, shape, packing, x, [kernel], fu.FusionSpec("sum"),
+                       ref_cross_correlation(x, grid, shape, packing, kernel), 1e-10)
 
 
 def build_pool_case(prng, batch=4, kind="max"):
+    """Window pooling as the patch head: channel s reads window slot s with
+    the one-hot kernel e_s, and channel fusion reduces the window."""
     grid = gg.GridSpec(8, 8, 1)
     shape = gg.Cuboid(0, 1, 0, 1, 0, 0)  # 2x2 window anchored at the center
     packing = gg.PackingSpec(2.0, 2.0, 1.0, clip_out_of_grid=True)
-    if kind not in _POOL_OPERATORS:
-        raise ValueError("unknown pooling kind %r" % kind)
     x = prng.normals((batch, grid.size))
-    got = tf.compress_patch(x, grid, shape, packing, "operator", _POOL_OPERATORS[kind])
-    ref = ref_pool(x, grid, shape, packing, kind)
-    return {"x": x, "got": got, "ref": ref, "tol": 0.0}
+    ref = ref_pool(x, grid, shape, packing, kind)  # rejects an unknown kind
+    fusion = fu.FusionSpec("average") if kind == "mean" else fu.FusionSpec("metric", metric=kind)
+    return _patch_case(grid, shape, packing, x, np.eye(gg.patch_size(shape)), fusion, ref, 0.0)
 
 
 def build_rnn_case(prng, steps=16, width=8):
@@ -236,8 +238,5 @@ def build_equivalent(kind, prng):
 def run_case(kind, prng):
     """Max absolute deviation between the head output and the reference."""
     case = build_equivalent(kind, prng)
-    if "got" in case:
-        got = case["got"]
-    else:
-        got = md.model_forward(case["x"], case["model"], case["store"])
+    got = md.model_forward(case["x"], case["model"], case["store"])
     return float(np.max(np.abs(got - case["ref"]))), case["tol"]

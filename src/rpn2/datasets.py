@@ -39,6 +39,8 @@ def random_graph(n_v=10, edge_prob=0.3, feature_dim=4, classes=2, seed=0):
 
     Returns (edges, x: n_v x feature_dim, labels: n_v).
     """
+    if classes < 1:
+        raise ValueError("classes must be >= 1, got %d" % classes)
     prng = Prng(seed).derive("random_graph")
     # one draw per pair i < j in row-major order
     iu, ju = np.triu_indices(n_v, 1)

@@ -34,8 +34,17 @@ class GridSpec:
         return self.h * self.w * self.d
 
 
+class _Patch:
+    """A patch shape; its extents are non-negative integers."""
+
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if value < 0:
+                raise ValueError("patch extent %s = %r must be >= 0" % (name, value))
+
+
 @dataclass(frozen=True)
-class Cuboid:
+class Cuboid(_Patch):
     p_h: int
     p_h2: int
     p_w: int
@@ -45,14 +54,14 @@ class Cuboid:
 
 
 @dataclass(frozen=True)
-class Cylinder:
+class Cylinder(_Patch):
     r: int
     p_d: int = 0
     p_d2: int = 0
 
 
 @dataclass(frozen=True)
-class Sphere:
+class Sphere(_Patch):
     r: int
 
 
@@ -80,15 +89,20 @@ class PackingSpec:
     clip_out_of_grid: bool = False
 
     def resolve(self, shape):
-        """Center distances, applying the named strategy when present."""
-        if not self.strategy:
-            return self.d_h, self.d_w, self.d_d
-        if isinstance(shape, Cylinder) and self.strategy in _CYLINDER_STRATEGIES:
-            dh, dw = _CYLINDER_STRATEGIES[self.strategy](shape.r)
-            return dh, dw, self.d_d
-        if isinstance(shape, Sphere) and self.strategy in _SPHERE_STRATEGIES:
-            return _SPHERE_STRATEGIES[self.strategy](shape.r)
-        raise ValueError("unknown packing strategy %r for %r" % (self.strategy, shape))
+        """Center distances (d_h, d_w, d_d), from the named strategy when there
+        are a strategy and a shape, else as given. Each must be > 0."""
+        dists = (self.d_h, self.d_w, self.d_d)
+        if self.strategy and shape is not None:
+            if isinstance(shape, Cylinder) and self.strategy in _CYLINDER_STRATEGIES:
+                dists = _CYLINDER_STRATEGIES[self.strategy](shape.r) + (self.d_d,)
+            elif isinstance(shape, Sphere) and self.strategy in _SPHERE_STRATEGIES:
+                dists = _SPHERE_STRATEGIES[self.strategy](shape.r)
+            else:
+                raise ValueError("unknown packing strategy %r for %r" % (self.strategy, shape))
+        for name, dist in zip(("d_h", "d_w", "d_d"), dists):
+            if not dist > 0:
+                raise ValueError("center distance %s = %r must be > 0" % (name, dist))
+        return dists
 
 
 def index_of(coord, grid):
@@ -152,8 +166,7 @@ def _axis_centers(extent, dist):
 def _center_array(grid, packing, shape):
     """Packing centers as an (n, 3) int64 array: rows of centers in order,
     then columns, then depth."""
-    dh, dw, dd = packing.resolve(shape) if (packing.strategy and shape is not None) \
-        else (packing.d_h, packing.d_w, packing.d_d)
+    dh, dw, dd = packing.resolve(shape)
     his, wjs, dks = (np.array(_axis_centers(extent, dist), dtype=np.int64)
                      for extent, dist in ((grid.h, dh), (grid.w, dw), (grid.d, dd)))
     i, j, k = np.meshgrid(his, wjs, dks, indexing="ij")
@@ -177,8 +190,7 @@ def patch_count(grid, packing, shape=None):
     Equals len(packing_centers) with clip disabled, modulo de-duplication of
     rounded centers (which only collapses when a distance < 1).
     """
-    dh, dw, dd = packing.resolve(shape) if (packing.strategy and shape is not None) \
-        else (packing.d_h, packing.d_w, packing.d_d)
+    dh, dw, dd = packing.resolve(shape)
     return ((1 + int(math.floor(grid.h / dh)))
             * (1 + int(math.floor(grid.w / dw)))
             * (1 + int(math.floor(grid.d / dd))))

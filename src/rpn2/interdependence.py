@@ -28,11 +28,12 @@ from .numeric_core import (SparseCoo, Tape, as_dense, l1_normalize_node, matrix_
 
 
 class Graph:
-    def __init__(self, n_nodes, edges, directed=False):
+    """An undirected graph on nodes 0 .. n_nodes - 1; self loops are dropped."""
+
+    def __init__(self, n_nodes, edges):
         self.n_nodes = int(n_nodes)
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
-        self.directed = bool(directed)
         self.edges = []
         for k, (u, v) in enumerate(edges):
             u = int(u)
@@ -46,10 +47,9 @@ class Graph:
 
     def adjacency(self):
         a = np.zeros((self.n_nodes, self.n_nodes))
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            if not self.directed:
-                a[v, u] = 1.0
+        u, v = np.array(self.edges, dtype=np.int64).reshape(-1, 2).T
+        a[u, v] = 1.0
+        a[v, u] = 1.0
         return a
 
 
@@ -140,7 +140,7 @@ class GraphStructural:
     variant: str = "adjacency"  # adjacency | multihop | accumulative | pagerank
     hops: int = 1
     alpha: float = 0.15
-    normalization: str = "none"  # none | row_selfloop
+    normalization: str = "none"  # none | row_selfloop | row
 
 
 @dataclass(frozen=True)
@@ -534,8 +534,7 @@ def _resolved_matrix(spec):
     the spec, read-only. A graph's edge list can change after the graph is
     built, so it is snapshot with the matrix and compared on every use."""
     v = spec.variant
-    edges = (v.graph.n_nodes, v.graph.directed, tuple(v.graph.edges)) \
-        if isinstance(v, GraphStructural) else None
+    edges = (v.graph.n_nodes, tuple(v.graph.edges)) if isinstance(v, GraphStructural) else None
     kept = spec.__dict__.get("_resolved")
     if kept is None or kept[0] != edges:
         a = _fixed_matrix(spec, None)

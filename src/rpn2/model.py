@@ -268,6 +268,12 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
     opt = dict(optimizer or {})
     kind = opt.get("kind", "sgd")
     lr = float(opt.get("lr", 0.01))
+    if loss not in ("mse", "cross_entropy"):
+        raise ValueError("unknown loss %r" % loss)
+    if kind not in ("sgd", "adaptive_moments"):
+        raise ValueError("unknown optimizer %r" % kind)
+    if epochs < 0:
+        raise ValueError("epochs must be >= 0, got %d" % epochs)
     if store is None:
         store = init_store(model, seed)
     x = np.asarray(x, dtype=float)
@@ -282,11 +288,9 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
             diff = out - target
             loss_node = (diff * diff).mean()
             metric = float(np.asarray(loss_node.value).reshape(-1)[0])
-        elif loss == "cross_entropy":
+        else:  # cross_entropy
             loss_node = cross_entropy_node(out, y)
             metric = float((np.argmax(out.value, axis=1) == np.asarray(y)).mean())
-        else:
-            raise ValueError("unknown loss %r" % loss)
         lv = float(np.asarray(loss_node.value).reshape(-1)[0])
         if not np.isfinite(lv):
             raise FloatingPointError("non-finite loss at epoch %d" % epoch)
@@ -302,7 +306,7 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
             mom = float(opt.get("momentum", 0.0))
             velocity = mom * velocity - lr * g
             store.vector = store.vector + velocity
-        elif kind == "adaptive_moments":
+        else:  # adaptive_moments
             b1 = float(opt.get("beta1", 0.9))
             b2 = float(opt.get("beta2", 0.999))
             eps = float(opt.get("eps", 1e-8))
@@ -312,8 +316,6 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
             m1h = m1 / (1 - b1 ** t)
             m2h = m2 / (1 - b2 ** t)
             store.vector = store.vector - lr * m1h / (np.sqrt(m2h) + eps)
-        else:
-            raise ValueError("unknown optimizer %r" % kind)
     return history, store
 
 

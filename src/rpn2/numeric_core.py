@@ -369,6 +369,9 @@ class Prng:
         return out.reshape(shape)
 
     def randint(self, n):
+        """A draw from 0 .. n - 1; n must be >= 1."""
+        if n < 1:
+            raise ValueError("randint needs a bound n >= 1, got %r" % n)
         # rejection-free modulo is fine at our scales
         return self.next_u64() % int(n)
 

@@ -3,8 +3,8 @@ short parameter vector.
 
 The fabricated matrix is laid out n x D and is applied as `expanded @ psi.T`.
 This is the one module that lays learnable matrices out in parameter vectors.
-Frozen random factors are drawn once per (method, seed) with Box-Muller over
-the package's splitmix stream, so reconstruction from the same seed is
+Frozen random factors are drawn once per spec with Box-Muller over the
+package's splitmix stream, so reconstruction from the same seed is
 bit-identical.
 """
 
@@ -17,6 +17,8 @@ from .numeric_core import Prng, Tape, blocks_dot
 
 @dataclass(frozen=True)
 class ReconciliationSpec:
+    """Frozen, because its random factors are kept on it (`frozen_randoms`)."""
+
     method: str  # identity | constant_eye | duplicated_padding | lorr | vera | hypernet_lowrank
     n: int
     D: int
@@ -45,7 +47,7 @@ def param_length(spec):
 
 
 class FrozenRandoms:
-    """Immutable random factors for vera / hypernet reconciliation."""
+    """Immutable (read-only) random factors for vera / hypernet reconciliation."""
 
     def __init__(self, spec):
         prng = Prng(spec.seed)
@@ -59,16 +61,15 @@ class FrozenRandoms:
             self.T = prng.derive("hyper_t").normals((spec.n * spec.D, spec.rank))
         else:
             raise ValueError("no frozen randoms for %r" % spec.method)
-
-
-_FROZEN_CACHE = {}
+        for a in vars(self).values():
+            a.flags.writeable = False
 
 
 def frozen_randoms(spec):
-    key = (spec.method, spec.n, spec.D, spec.rank, spec.mid, spec.input_len, spec.seed)
-    if key not in _FROZEN_CACHE:
-        _FROZEN_CACHE[key] = FrozenRandoms(spec)
-    return _FROZEN_CACHE[key]
+    """The spec's FrozenRandoms, drawn on first use and kept on the frozen spec."""
+    if "_frozen" not in spec.__dict__:
+        object.__setattr__(spec, "_frozen", FrozenRandoms(spec))
+    return spec._frozen
 
 
 def _check_length(spec, w):

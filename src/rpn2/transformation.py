@@ -468,23 +468,19 @@ def reduce_dimension(state, x, mode, k, prng=None, s=1.0):
             if mode.endswith("gaussian"):
                 r = prng.normals((m, k)) / np.sqrt(k)
             else:
-                r = _sparse_projection(prng, m, k, s)
+                r = sparse_projection_matrix(prng, m, k, s)
             state = {"matrix": r}
         return state, x @ state["matrix"]
     raise ValueError("unknown reduction mode %r" % mode)
 
 
-def _sparse_projection(prng, m, k, s):
+def sparse_projection_matrix(prng, m, k, s=1.0):
     """Entries +-sqrt(1/(s*k)) each with probability s/2, zero otherwise."""
     if not (0.0 < s <= 1.0):
         raise ValueError("s must be in (0, 1]")
     mag = np.sqrt(1.0 / (s * k))
     u = prng.uniforms((m, k))
     return np.where(u < s / 2.0, mag, np.where(u < s, -mag, 0.0))
-
-
-def sparse_projection_matrix(prng, m, k, s=1.0):
-    return _sparse_projection(prng, m, k, s)
 
 
 # -- probabilistic compression ----------------------------------------------

@@ -248,7 +248,35 @@ def test_pool_case_pools_with_the_operator_of_its_kind(kind):
     for seed in (3, 4, 5):
         case = be.build_pool_case(Prng(seed), kind=kind)
         assert case["tol"] == 0.0
-        assert float(np.max(np.abs(case["got"] - case["ref"]))) == 0.0
+        got = md.model_forward(case["x"], case["model"], case["store"])
+        assert float(np.max(np.abs(got - case["ref"]))) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["max", "min", "mean"])
+def test_pool_head_is_byte_equal_to_ref_pool(kind):
+    for seed in range(24):
+        case = be.build_pool_case(Prng(seed).derive("equiv_pool"), kind=kind)
+        got = md.model_forward(case["x"], case["model"], case["store"])
+        assert got.tobytes() == case["ref"].tobytes(), seed
+
+
+def test_pool_head_is_the_cnn_head_with_one_hot_channels():
+    case = be.build_pool_case(Prng(0), kind="max")
+    head = case["model"].layers[0].heads[0]
+    assert head.attr_prior.variant.mode == "padding"
+    assert head.reconciliation.method == "duplicated_padding"
+    assert head.channels == head.reconciliation.p == 4
+    assert head.channel_fusion.strategy == "metric"
+    kernels = [case["store"].get("l0.h0.c%d.psi" % c) for c in range(head.channels)]
+    assert np.array_equal(np.stack(kernels), np.eye(4))
+
+
+@pytest.mark.parametrize("kind", sorted(be._BUILDERS))
+def test_every_case_runs_the_canonical_head(kind):
+    case = be.build_equivalent(kind, Prng(1).derive("equiv_%s" % kind))
+    assert set(case) == {"x", "model", "store", "ref", "tol"}
+    assert isinstance(case["model"], md.ModelConfig)
+    assert isinstance(case["store"], md.ParameterStore)
 
 
 def test_pool_case_rejects_an_unknown_kind():

@@ -231,3 +231,44 @@ def test_build_matrix_accepts_seed_key(tmp_path):
     out = tmp_path / "m.mtx"
     assert _run(["build-matrix", "--config", cfg, "--out", str(out), "--seed", "4"]) == 0
     assert json.loads((tmp_path / "m.mtx.stats.json").read_text())["nnz"] == 3
+
+
+@pytest.mark.parametrize("geometry,bad", [
+    ({"packing": {"d_h": 0}}, "d_h = 0.0"),
+    ({"packing": {"d_h": -1}}, "d_h = -1.0"),
+    ({"shape": {"p_h": -3}}, "p_h = -3"),
+    ({"shape": {"p_h": -1, "p_h2": -2}}, "p_h = -1"),
+])
+def test_build_matrix_degenerate_grid_geometry_exit_4(tmp_path, capsys, geometry, bad):
+    cfg = _write(tmp_path / "c.json", {"matrix": dict({"kind": "grid"}, **geometry)})
+    out = tmp_path / "m.mtx"
+    assert _run(["build-matrix", "--config", cfg, "--out", str(out)]) == 4
+    assert bad in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("classes", [0, -2])
+def test_gen_data_random_graph_needs_a_class(tmp_path, capsys, classes):
+    cfg = _write(tmp_path / "g.json", {"data": {"kind": "random_graph", "classes": classes}})
+    out = tmp_path / "g.csv"
+    assert _run(["gen-data", "--config", cfg, "--out", str(out)]) == 4
+    assert "classes must be >= 1, got %d" % classes in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("train,bad", [
+    ({"loss": "bogus", "epochs": 0}, "unknown loss 'bogus'"),
+    ({"epochs": -1}, "epochs must be >= 0, got -1"),
+    ({"optimizer": {"kind": "bogus"}, "epochs": 0}, "unknown optimizer 'bogus'"),
+])
+def test_train_checks_loss_optimizer_and_epochs_before_training(tmp_path, capsys,
+                                                                train, bad):
+    cfg = _write(tmp_path / "t.json", {
+        "model": _TRAIN_MODEL, "train": train,
+        "data": {"kind": "two_moons", "n": 40, "noise": 0.1, "seed": 7},
+        "outputs": {"metrics": str(tmp_path / "m.csv"),
+                    "checkpoint": str(tmp_path / "c.json")}})
+    assert _run(["train", "--config", cfg]) == 4
+    assert bad in capsys.readouterr().err
+    assert not (tmp_path / "m.csv").exists()
+    assert not (tmp_path / "c.json").exists()

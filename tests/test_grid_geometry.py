@@ -91,6 +91,36 @@ def test_strategy_distances():
         gg.PackingSpec(strategy="nope").resolve(gg.Sphere(3))
 
 
+@pytest.mark.parametrize("make,bad", [
+    (lambda: gg.Cuboid(-3, 1, 1, 1), "p_h = -3"),
+    (lambda: gg.Cuboid(-1, -2, 0, 0), "p_h = -1"),
+    (lambda: gg.Cuboid(0, 0, 0, 0, 0, -1), "p_d2 = -1"),
+    (lambda: gg.Cylinder(-1), "r = -1"),
+    (lambda: gg.Cylinder(1, 0, -2), "p_d2 = -2"),
+    (lambda: gg.Sphere(-1), "r = -1"),
+])
+def test_patch_shapes_reject_negative_extents(make, bad):
+    with pytest.raises(ValueError, match=bad):
+        make()
+
+
+@pytest.mark.parametrize("packing,shape,bad", [
+    (gg.PackingSpec(0.0, 1.0, 1.0), None, "d_h = 0.0"),
+    (gg.PackingSpec(1.0, -1.0, 1.0), gg.Cuboid(0, 1, 0, 1), "d_w = -1.0"),
+    (gg.PackingSpec(1.0, 1.0, float("nan")), gg.Cuboid(0, 1, 0, 1), "d_d = nan"),
+    (gg.PackingSpec(strategy="sparse_square"), gg.Cylinder(0), "d_h = 0.0"),
+    (gg.PackingSpec(strategy="complete_cubic"), gg.Sphere(0), "d_h = 0.0"),
+    (gg.PackingSpec(strategy="sparse_square", d_d=0.0), gg.Cylinder(2), "d_d = 0.0"),
+])
+def test_center_distances_must_be_positive_wherever_resolved(packing, shape, bad):
+    grid = gg.GridSpec(4, 4, 1)
+    for resolve in (lambda: packing.resolve(shape),
+                    lambda: gg.packing_centers(grid, packing, shape),
+                    lambda: gg.patch_count(grid, packing, shape)):
+        with pytest.raises(ValueError, match=bad):
+            resolve()
+
+
 def test_patch_cells_skips_out_of_grid():
     grid = gg.GridSpec(4, 4, 1)
     offs = gg.patch_offsets(gg.Cuboid(1, 1, 1, 1, 0, 0))

@@ -325,6 +325,30 @@ def test_graph_adjacency_and_path():
     assert np.array_equal(empty, np.zeros((4, 4)))
 
 
+def loop_adjacency(graph):
+    """The edge loop that filled Graph.adjacency before it scattered from
+    index arrays; kept as its oracle."""
+    a = np.zeros((graph.n_nodes, graph.n_nodes))
+    for u, v in graph.edges:
+        a[u, v] = 1.0
+        a[v, u] = 1.0
+    return a
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_graph_adjacency_matches_the_edge_loop(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 12))
+    edges = rng.integers(0, n, size=(int(rng.integers(0, 3 * n)), 2)).tolist()
+    if len(edges) > 1:
+        u, v = edges[0]
+        edges += [[u, v], [v, u]]  # a repeated edge in both orientations
+    g = itd.Graph(n, edges)
+    a = g.adjacency()
+    assert a.tobytes() == loop_adjacency(g).tobytes()
+    assert np.array_equal(a, a.T)
+
+
 def test_graph_self_loops_dropped_and_range_checked():
     g = itd.Graph(3, [(0, 0), (0, 1)])
     assert g.edges == [(0, 1)]

@@ -145,6 +145,12 @@ def test_prng_randint_and_choice():
     assert picks == [1] * 20
 
 
+@pytest.mark.parametrize("n", [0, -2])
+def test_prng_randint_rejects_an_empty_range(n):
+    with pytest.raises(ValueError, match="n >= 1, got %d" % n):
+        Prng(1).randint(n)
+
+
 def _scalar_uniforms(p, n):
     return np.array([p.uniform() for _ in range(n)])
 

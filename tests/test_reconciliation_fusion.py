@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,24 @@ def test_frozen_randoms_seed_determinism():
     assert np.array_equal(a1.A, a1b.A)
     assert np.array_equal(a1.B, a1b.B)
     assert np.linalg.norm(a1.A - a2.A) > 0
+
+
+@pytest.mark.parametrize("spec", [
+    rc.ReconciliationSpec("vera", n=3, D=4, rank=2, seed=5),
+    rc.ReconciliationSpec("hypernet_lowrank", n=3, D=4, rank=2, mid=6, input_len=5, seed=2),
+])
+def test_frozen_randoms_are_kept_once_per_spec_and_read_only(spec):
+    fr = rc.frozen_randoms(spec)
+    assert rc.frozen_randoms(spec) is fr
+    arrays = list(vars(fr).values())
+    assert arrays and all(not a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError):
+        arrays[0][0, 0] = 1.0
+    # an equal spec draws the same factors into its own kept object
+    twin = dataclasses.replace(spec)
+    assert twin == spec and rc.frozen_randoms(twin) is not fr
+    for a, b in zip(arrays, vars(rc.frozen_randoms(twin)).values()):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_hypernet_shapes_and_determinism():
