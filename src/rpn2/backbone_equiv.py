@@ -136,10 +136,17 @@ def _patch_case(grid, shape, packing, x, kernels, fusion, ref, tol):
     return {"x": x, "model": _single(head), "store": store, "ref": ref, "tol": tol}
 
 
+# the fixed geometries of the cnn and pool cases, built once so that every
+# case reuses the patch tables kept on their grids
+_CNN_GEOMETRY = (gg.GridSpec(8, 8, 3), gg.Cuboid(1, 1, 1, 1, 1, 1),
+                 gg.PackingSpec(1.0, 1.0, 1.0, clip_out_of_grid=True))
+_POOL_GEOMETRY = (gg.GridSpec(8, 8, 1),
+                  gg.Cuboid(0, 1, 0, 1, 0, 0),  # 2x2 window anchored at the center
+                  gg.PackingSpec(2.0, 2.0, 1.0, clip_out_of_grid=True))
+
+
 def build_cnn_case(prng, batch=4):
-    grid = gg.GridSpec(8, 8, 3)
-    shape = gg.Cuboid(1, 1, 1, 1, 1, 1)
-    packing = gg.PackingSpec(1.0, 1.0, 1.0, clip_out_of_grid=True)
+    grid, shape, packing = _CNN_GEOMETRY
     x = prng.normals((batch, grid.size))
     kernel = prng.normals((gg.patch_size(shape),))
     return _patch_case(grid, shape, packing, x, [kernel], fu.FusionSpec("sum"),
@@ -149,9 +156,7 @@ def build_cnn_case(prng, batch=4):
 def build_pool_case(prng, batch=4, kind="max"):
     """Window pooling as the patch head: channel s reads window slot s with
     the one-hot kernel e_s, and channel fusion reduces the window."""
-    grid = gg.GridSpec(8, 8, 1)
-    shape = gg.Cuboid(0, 1, 0, 1, 0, 0)  # 2x2 window anchored at the center
-    packing = gg.PackingSpec(2.0, 2.0, 1.0, clip_out_of_grid=True)
+    grid, shape, packing = _POOL_GEOMETRY
     x = prng.normals((batch, grid.size))
     ref = ref_pool(x, grid, shape, packing, kind)  # rejects an unknown kind
     fusion = fu.FusionSpec("average") if kind == "mean" else fu.FusionSpec("metric", metric=kind)

@@ -35,8 +35,17 @@ def _check_keys(obj, allowed, path):
 _REQUIRED = object()
 
 
+def _number(value, kind):
+    """value as int or float: a number or a string that `kind` parses, never
+    a boolean, and an int only from an integral number."""
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)
+                                   and not value.is_integer()):
+        raise ValueError(value)
+    return kind(value)
+
+
 def _edge_list(value):
-    return [(int(u), int(v)) for u, v in value]
+    return [(_number(u, int), _number(v, int)) for u, v in value]
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
@@ -44,11 +53,14 @@ _KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a strin
 
 
 def _as(value, kind, what):
-    """value as `kind`: str, list and dict check the JSON type, the others
-    convert. A value of the wrong type is a ConfigError naming `what` it is."""
+    """value as `kind`: int, float and the edge list convert by `_number`;
+    bool, str, list and dict check the JSON type. A value of the wrong type
+    is a ConfigError naming `what` it is."""
     try:
-        if kind not in (str, list, dict):
-            return kind(value)
+        if kind in (int, float):
+            return _number(value, kind)
+        if kind is _edge_list:
+            return _edge_list(value)
         if isinstance(value, kind):
             return value
     except (TypeError, ValueError, OverflowError):

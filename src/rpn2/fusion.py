@@ -89,7 +89,7 @@ def fuse_nodes(nodes, spec, param_node=None):
             raise ValueError("unknown fusion metric %r" % spec.metric)
         return tape.constant(_METRICS[spec.metric](np.stack([n.value for n in nodes])))
     if spec.strategy == "concat_linear":
-        cat = concat_nodes(nodes, axis=1)
+        cat = concat_nodes(nodes)
         if spec.low_rank:
             # cat @ P @ Q^T: P Q^T is never formed
             p, q = rc.lorr_factors(param_node, cat.shape[1], spec.target, spec.low_rank)

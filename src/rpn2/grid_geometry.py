@@ -7,13 +7,11 @@ the center distances (d_h, d_w, d_d), rounded half-up when the distances are
 irrational. Centers produced by the literal floor formula may fall outside the
 grid; their patch cells are zero-padded unless clipping is requested.
 
-The patch index of a (grid, shape, packing) geometry is resolved once and
-kept, read-only, in a small cache keyed on that frozen triple.
+The patch index of a (shape, packing) geometry on a grid is resolved once and
+kept, read-only, on the frozen GridSpec, so it lives as long as the grid.
 """
 
-import collections
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,21 +151,24 @@ def patch_size(shape):
 
 
 def _axis_centers(extent, dist):
-    # centers at round(t * dist) for t = 0 .. floor(extent / dist), half-up
+    """The distinct centers round(t * dist), half-up, for t = 0 ..
+    floor(extent / dist), ascending, as an int64 array. The work is
+    O(extent) for any dist > 0: below a step of 1/2 every integer up to the
+    last center is a center, so no t is stepped through. The centers never
+    decrease in t, so a repeat is dropped where it equals its predecessor
+    (np.unique would import numpy.ma, about 1 MiB)."""
     count = int(math.floor(extent / dist))
-    seen = []
-    for t in range(count + 1):
-        c = int(math.floor(t * dist + 0.5))
-        if c not in seen:
-            seen.append(c)
-    return seen
+    if dist <= 0.5:
+        return np.arange(int(math.floor(count * dist + 0.5)) + 1, dtype=np.int64)
+    centers = np.floor(np.arange(count + 1) * dist + 0.5).astype(np.int64)
+    return centers[np.diff(centers, prepend=-1) > 0]
 
 
 def _center_array(grid, packing, shape):
     """Packing centers as an (n, 3) int64 array: rows of centers in order,
     then columns, then depth."""
     dh, dw, dd = packing.resolve(shape)
-    his, wjs, dks = (np.array(_axis_centers(extent, dist), dtype=np.int64)
+    his, wjs, dks = (_axis_centers(extent, dist)
                      for extent, dist in ((grid.h, dh), (grid.w, dw), (grid.d, dd)))
     i, j, k = np.meshgrid(his, wjs, dks, indexing="ij")
     if "hexagonal" in packing.strategy:
@@ -207,31 +208,19 @@ def patch_cells(center, offsets, grid):
     return cells
 
 
-# (grid, shape, packing) -> (index, pads_last), least recently used first;
-# at most _PATCH_TABLES_KEPT geometries are kept
-_PATCH_TABLES = collections.OrderedDict()
-_PATCH_TABLES_KEPT = 16
-_PATCH_TABLES_LOCK = threading.Lock()
-
-
 def _patch_tables(grid, shape, packing):
     """(index, pads_last) of a geometry, both read-only, built on first use
-    and kept in a small least-recently-used cache keyed on the frozen
-    (GridSpec, shape, PackingSpec) triple, never on data. `index` is
-    `patch_index`; `pads_last` reorders each of its rows, stably, so that the
-    in-grid cells come first in offset order and the pad slots last, the order
-    in which `transformation.compress_patch` reduces a patch."""
-    key = (grid, shape, packing)
-    with _PATCH_TABLES_LOCK:
-        tables = _PATCH_TABLES.get(key)
-        if tables is not None:
-            _PATCH_TABLES.move_to_end(key)
-            return tables
-    tables = _build_patch_tables(grid, shape, packing)
-    with _PATCH_TABLES_LOCK:
-        tables = _PATCH_TABLES.setdefault(key, tables)
-        if len(_PATCH_TABLES) > _PATCH_TABLES_KEPT:
-            _PATCH_TABLES.popitem(last=False)
+    and kept on the frozen `grid`, keyed on the frozen (shape, PackingSpec)
+    pair and never on data, so they are freed with the grid. Threads that
+    build the same entry at once all get the one that `setdefault` kept.
+    `index` is `patch_index`; `pads_last` reorders each of its rows, stably,
+    so that the in-grid cells come first in offset order and the pad slots
+    last, the order in which `transformation.compress_patch` reduces a
+    patch."""
+    kept = grid.__dict__.setdefault("_patch_tables", {})
+    tables = kept.get((shape, packing))
+    if tables is None:
+        tables = kept.setdefault((shape, packing), _build_patch_tables(grid, shape, packing))
     return tables
 
 
@@ -256,7 +245,8 @@ def patch_index(grid, shape, packing):
     center c (packing_centers order) plus offset s (patch_offsets order), or
     grid.size where that cell falls outside the grid (the zero-pad slot).
     Centers and offsets are broadcast against each other, with no loop over
-    cells. Resolved once per geometry and shared: the array is read-only."""
+    cells. Resolved once per geometry and kept on the grid: the array is
+    read-only."""
     return _patch_tables(grid, shape, packing)[0]
 
 

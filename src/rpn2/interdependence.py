@@ -27,23 +27,29 @@ from .numeric_core import (SparseCoo, Tape, as_dense, l1_normalize_node, matrix_
 # graph
 
 
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """An undirected graph on nodes 0 .. n_nodes - 1; self loops are dropped."""
+    """An undirected graph on nodes 0 .. n_nodes - 1, fixed at construction:
+    `edges` becomes a tuple of int pairs, and self loops are dropped."""
 
-    def __init__(self, n_nodes, edges):
-        self.n_nodes = int(n_nodes)
-        if self.n_nodes < 1:
+    n_nodes: int
+    edges: tuple
+
+    def __post_init__(self):
+        n = int(self.n_nodes)
+        if n < 1:
             raise ValueError("n_nodes must be >= 1")
-        self.edges = []
-        for k, (u, v) in enumerate(edges):
+        edges = []
+        for k, (u, v) in enumerate(self.edges):
             u = int(u)
             v = int(v)
-            if not (0 <= u < self.n_nodes and 0 <= v < self.n_nodes):
+            if not (0 <= u < n and 0 <= v < n):
                 raise IndexError("edges[%d] = [%d, %d] has an endpoint outside 0..%d"
-                                 % (k, u, v, self.n_nodes - 1))
-            if u == v:
-                continue  # self-dependence is added by normalization
-            self.edges.append((u, v))
+                                 % (k, u, v, n - 1))
+            if u != v:  # self-dependence is added by normalization
+                edges.append((u, v))
+        object.__setattr__(self, "n_nodes", n)
+        object.__setattr__(self, "edges", tuple(edges))
 
     def adjacency(self):
         a = np.zeros((self.n_nodes, self.n_nodes))
@@ -531,18 +537,14 @@ _RESOLVED = (Identity, GridStructural, ChainStructural, GraphStructural)
 
 def _resolved_matrix(spec):
     """`_fixed_matrix` of a `_RESOLVED` spec, built on first use and kept on
-    the spec, read-only. A graph's edge list can change after the graph is
-    built, so it is snapshot with the matrix and compared on every use."""
-    v = spec.variant
-    edges = (v.graph.n_nodes, tuple(v.graph.edges)) if isinstance(v, GraphStructural) else None
-    kept = spec.__dict__.get("_resolved")
-    if kept is None or kept[0] != edges:
+    the frozen spec, read-only. Its structure is frozen too: a `Graph` is
+    fixed at construction."""
+    if "_resolved" not in spec.__dict__:
         a = _fixed_matrix(spec, None)
         if not isinstance(a, SparseCoo):
             a.flags.writeable = False
-        kept = (edges, a)
-        object.__setattr__(spec, "_resolved", kept)
-    return kept[1]
+        object.__setattr__(spec, "_resolved", a)
+    return spec._resolved
 
 
 def build_node(spec, x_node, param_node):

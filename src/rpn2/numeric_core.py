@@ -551,19 +551,15 @@ def l1_normalize_node(x, axis="col"):
     return Node(x.tape, y, [(x, vjp)])
 
 
-def concat_nodes(nodes, axis=1):
-    vals = [n.value for n in nodes]
-    out = np.concatenate(vals, axis=axis)
+def concat_nodes(nodes):
+    """The nodes joined along axis 1."""
+    out = np.concatenate([n.value for n in nodes], axis=1)
     vjps = []
     start = 0
     for n in nodes:
-        size = n.value.shape[axis]
-        lo, hi = start, start + size
-        if axis == 0:
-            vjps.append((n, lambda g, lo=lo, hi=hi: g[lo:hi]))
-        else:
-            vjps.append((n, lambda g, lo=lo, hi=hi: g[:, lo:hi]))
-        start += size
+        lo, hi = start, start + n.value.shape[1]
+        vjps.append((n, lambda g, lo=lo, hi=hi: g[:, lo:hi]))
+        start = hi
     return Node(nodes[0].tape, out, vjps)
 
 

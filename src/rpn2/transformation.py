@@ -103,14 +103,6 @@ def polynomial_values(family, x, d, alpha=0.5):
                     axis=-1)
 
 
-def expand_polynomial(x, family, d, alpha=0.5):
-    """Degree-major blocks [P_1(X), P_2(X), ..., P_d(X)] of a b x m batch."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        raise ValueError("expansion needs a b x m batch")
-    return np.concatenate(polynomial_columns(family, x, d, alpha), axis=1)
-
-
 # ---------------------------------------------------------------------------
 # wavelets
 
@@ -191,7 +183,7 @@ def expand_node(x, spec):
         return x.tape.constant(expand_wavelet(x.value, spec))
     if x.value.ndim != 2:
         raise ValueError("expansion needs a b x m batch")
-    return concat_nodes(polynomial_columns(spec.family, x, spec.d, spec.alpha), axis=1)
+    return concat_nodes(polynomial_columns(spec.family, x, spec.d, spec.alpha))
 
 
 def expand(x, spec):
@@ -318,15 +310,15 @@ def compress_patch(x, grid, shape, packing, mapping="operator", kind="max"):
     """Per instance, per packing center: gather the zero-padded patch and
     apply the mapping. Output width = number of patches.
 
-    One gather through the geometry's cached patch index (`grid_geometry`
-    resolves it once per (grid, shape, packing)), with each patch's in-grid
-    cells first in offset order and its zero pads last, then one reduction.
-    An order-free reduction (max, min, the inf norm) gathers slot-major,
-    (b, p, P), and reduces across the slots, which is several times faster
-    than along short contiguous patches; where a patch ties -0.0 with 0.0 it
-    may return either zero (the two compare equal), and a patch holding a NaN
-    still gives NaN. Every other mapping reduces each patch as one
-    contiguous run, in the order of a 1-D patch."""
+    One gather through the geometry's patch index, which `grid_geometry`
+    resolves once per (shape, packing) and keeps on the frozen grid, with
+    each patch's in-grid cells first in offset order and its zero pads last,
+    then one reduction. An order-free reduction (max, min, the inf norm)
+    gathers slot-major, (b, p, P), and reduces across the slots, which is
+    several times faster than along short contiguous patches; where a patch
+    ties -0.0 with 0.0 it may return either zero (the two compare equal), and
+    a patch holding a NaN still gives NaN. Every other mapping reduces each
+    patch as one contiguous run, in the order of a 1-D patch."""
     x = np.asarray(x, dtype=float)
     if x.shape[1] != grid.size:
         raise ValueError("batch width must equal the grid size")

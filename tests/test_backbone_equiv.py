@@ -171,7 +171,7 @@ def test_gnn_case_edges_match_scalar_loop(nodes):
     a, b = Prng(2 ** 63 + 5), Prng(2 ** 63 + 5)
     case = be.build_gnn_case(a, nodes=nodes)
     graph = case["model"].layers[0].heads[0].inst_prior.variant.graph
-    assert graph.edges == _scalar_edges(b, nodes, 0.35)
+    assert graph.edges == tuple(_scalar_edges(b, nodes, 0.35))
     assert case["x"].tobytes() == b.normals((nodes, 6)).tobytes()
     b.normals((4, 6))
     assert a.next_u64() == b.next_u64()

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -89,6 +90,36 @@ def test_convertible_values_read_as_before(tmp_path):
     assert (tmp_path / "out").read_bytes() == first
 
 
+# values that int, float or bool conversion would take for another value:
+# config, the key the message names, and the type it asks for
+_LOSSY_VALUES = {
+    "int from a fraction": ({"kind": "identity", "m": 3.7}, "'m'", "an integer"),
+    "int from a boolean": ({"kind": "chain", "m": True}, "'m'", "an integer"),
+    "bool from a string": ({"kind": "chain", "m": 4, "include_self": "no"},
+                           "'include_self'", "a boolean"),
+    "edge from fractions": ({"kind": "graph", "n_nodes": 3, "edges": [[0.6, 2.9]]},
+                            "'edges'", "[u, v] pairs"),
+    "float from a boolean": ({"kind": "graph", "n_nodes": 3, "alpha": True},
+                             "'alpha'", "a number"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOSSY_VALUES))
+def test_lossy_value_is_config_error(tmp_path, capsys, case):
+    spec, key, kind = _LOSSY_VALUES[case]
+    assert _run(tmp_path, "build-matrix", {"matrix": spec}) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err and kind in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integral_values_keep_reading(tmp_path):
+    for m in (4, 4.0, "4"):
+        assert _run(tmp_path, "build-matrix", {"matrix": {
+            "kind": "chain", "m": m, "include_self": True, "hops": 1.0}}) == 0
+        assert (tmp_path / "out").read_text().split("\n")[1] == "4 4 7"
+
+
 def _cli_subprocess(tmp_path, config, *args):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
@@ -169,3 +200,16 @@ def test_unknown_processor_tag_is_config_error(tmp_path, capsys):
     assert "'swish'" in err and "model.layers[0].heads[0].processors" in err
     for tag in [None, "", "none", "tanh", "sigmoid", "relu", "softmax"]:
         assert _run(tmp_path, "train", _with(_TRAIN, path, {"expansion": tag})) == 0
+
+
+def test_tiny_center_distance_exits_at_once(tmp_path):
+    # stepping t through 0 .. floor(4 / 1e-9) one at a time would take minutes
+    config = {"matrix": dict(_GRID, packing={"d_h": 1e-9})}
+    start = time.perf_counter()
+    res = _cli_subprocess(tmp_path, config, "build-matrix", "--out", "g.mtx")
+    assert res.returncode == 0, res.stderr
+    assert time.perf_counter() - start < 30.0
+    # below a step of 1, every cell along the axis is a center, as at d_h = 1
+    tiny = (tmp_path / "g.mtx").read_bytes()
+    assert _run(tmp_path, "build-matrix", {"matrix": dict(_GRID, packing={"d_h": 1.0})}) == 0
+    assert (tmp_path / "out").read_bytes() == tiny

@@ -92,7 +92,7 @@ def test_parameterized_rejects_other_reconciliation_tags():
 
 
 def _oracle_concat_linear(nodes, spec, param_node):
-    cat = concat_nodes(nodes, axis=1)
+    cat = concat_nodes(nodes)
     total = cat.shape[1]
     if spec.low_rank:
         r = spec.low_rank

@@ -1,5 +1,8 @@
+import gc
+import math
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -148,19 +151,50 @@ def test_coverage_sparse_leaves_gaps():
     assert 0.7 < stats["coverage_ratio"] < 0.82
 
 
-def test_patch_index_is_cached_per_geometry_and_read_only():
-    gg._PATCH_TABLES.clear()
-    args = (gg.GridSpec(6, 5, 2), gg.Cuboid(1, 0, 1, 1, 0, 1),
-            gg.PackingSpec(2.0, 1.0, 1.0, clip_out_of_grid=True))
-    # equal frozen triples built separately share one entry
-    twin = (gg.GridSpec(6, 5, 2), gg.Cuboid(1, 0, 1, 1, 0, 1),
-            gg.PackingSpec(2.0, 1.0, 1.0, clip_out_of_grid=True))
+def loop_axis_centers(extent, dist):
+    """The distinct round(t * dist), half-up, for t = 0 .. floor(extent /
+    dist), stepped one t at a time."""
+    seen = []
+    for t in range(int(math.floor(extent / dist)) + 1):
+        c = int(math.floor(t * dist + 0.5))
+        if c not in seen:
+            seen.append(c)
+    return seen
+
+
+def test_axis_centers_match_the_loop():
+    strategies = {d for table in (gg._CYLINDER_STRATEGIES, gg._SPHERE_STRATEGIES)
+                  for f in table.values() for r in range(1, 6) for d in f(r)}
+    dists = ([math.sqrt(2.0), math.sqrt(3.0), 2.0 * math.sqrt(3.0) / 3.0, 0.5, 0.5 + 1e-12,
+              0.75, 1.0 - 1e-12, 1.0] + sorted(strategies)
+             + np.random.default_rng(13).uniform(0.01, 5.0, 300).tolist())
+    for extent in range(1, 70):
+        for dist in dists:
+            got = gg._axis_centers(extent, dist)
+            assert got.dtype == np.int64
+            assert got.tolist() == loop_axis_centers(extent, dist), (extent, dist)
+
+
+def test_axis_centers_of_a_tiny_distance_are_every_cell():
+    # the loop would step through 8e9 values of t
+    assert gg._axis_centers(8, 1e-9).tolist() == list(range(9))
+
+
+def test_patch_tables_are_kept_per_grid_and_read_only():
+    grid = gg.GridSpec(6, 5, 2)
+    args = (gg.Cuboid(1, 0, 1, 1, 0, 1), gg.PackingSpec(2.0, 1.0, 1.0, clip_out_of_grid=True))
+    # an equal (shape, packing) pair built separately shares the grid's entry
+    twin = (gg.Cuboid(1, 0, 1, 1, 0, 1), gg.PackingSpec(2.0, 1.0, 1.0, clip_out_of_grid=True))
     assert twin is not args and twin == args
-    idx = gg.patch_index(*args)
-    assert gg.patch_index(*twin) is idx
-    index, pads_last = gg._patch_tables(*twin)
+    idx = gg.patch_index(grid, *args)
+    assert gg.patch_index(grid, *twin) is idx
+    index, pads_last = gg._patch_tables(grid, *twin)
     assert index is idx
-    assert list(gg._PATCH_TABLES) == [args]
+    assert list(grid.__dict__["_patch_tables"]) == [args]
+    # an equal grid built separately keeps tables of its own
+    other = gg.GridSpec(6, 5, 2)
+    assert other == grid and gg.patch_index(other, *args) is not idx
+    assert np.array_equal(gg.patch_index(other, *args), idx)
     for a in (index, pads_last):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
@@ -171,24 +205,21 @@ def test_patch_index_is_cached_per_geometry_and_read_only():
         assert ordered.tolist() == cells + [60] * (row.size - len(cells))
 
 
-def test_patch_index_cache_is_bounded():
-    gg._PATCH_TABLES.clear()
-    shape, packing = gg.Cuboid(1, 1, 1, 1), gg.PackingSpec()
-    first = gg.patch_index(gg.GridSpec(3, 3, 1), shape, packing)
-    for h in range(4, 4 + 2 * gg._PATCH_TABLES_KEPT):
-        gg.patch_index(gg.GridSpec(h, 3, 1), shape, packing)
-        assert len(gg._PATCH_TABLES) <= gg._PATCH_TABLES_KEPT
-    assert len(gg._PATCH_TABLES) == gg._PATCH_TABLES_KEPT
-    # the oldest geometry was dropped and is rebuilt equal, as a new array
-    again = gg.patch_index(gg.GridSpec(3, 3, 1), shape, packing)
-    assert again is not first and np.array_equal(again, first)
+def test_patch_tables_die_with_their_grid():
+    grid = gg.GridSpec(7, 6, 1)
+    kept = weakref.ref(gg.patch_index(grid, gg.Cuboid(1, 1, 1, 1), gg.PackingSpec()))
+    grid_ref = weakref.ref(grid)
+    assert kept() is not None
+    del grid
+    gc.collect()
+    assert grid_ref() is None and kept() is None
 
 
 def test_patch_index_cache_under_threads():
-    # more threads than cores cycle through more geometries than the cache
-    # keeps, so entries are added and dropped while others are read
+    # more threads than cores cycle through 24 grids, so entries are built
+    # on some grids while others are read
     shape, packing = gg.Cuboid(1, 1, 1, 1), gg.PackingSpec(2.0, 1.0, 1.0)
-    grids = [gg.GridSpec(h, 4, 1) for h in range(3, 3 + gg._PATCH_TABLES_KEPT + 8)]
+    grids = [gg.GridSpec(h, 4, 1) for h in range(3, 3 + 24)]
     want = {g: gg._build_patch_tables(g, shape, packing)[0] for g in grids}
     errors = []
 
@@ -213,4 +244,3 @@ def test_patch_index_cache_under_threads():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(gg._PATCH_TABLES) <= gg._PATCH_TABLES_KEPT

@@ -351,7 +351,7 @@ def test_graph_adjacency_matches_the_edge_loop(seed):
 
 def test_graph_self_loops_dropped_and_range_checked():
     g = itd.Graph(3, [(0, 0), (0, 1)])
-    assert g.edges == [(0, 1)]
+    assert g.edges == ((0, 1),)
     with pytest.raises(IndexError):
         itd.Graph(2, [(0, 5)])
 

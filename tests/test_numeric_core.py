@@ -268,7 +268,7 @@ def test_grad_l1_normalize_node():
 
 
 def test_grad_concat_blocks_cross_entropy():
-    _fd_check(lambda t, n: (concat_nodes([n[0], n[1]], axis=1)
+    _fd_check(lambda t, n: (concat_nodes([n[0], n[1]])
                             .matmul(n[2])).sum(), [(3, 2), (3, 3), (5, 2)])
     _fd_check(lambda t, n: blocks_dot(n[0], n[1], 3, 4).sum(), [(2, 12), (4,)])
     labels = np.array([0, 2, 1])
