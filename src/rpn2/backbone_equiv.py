@@ -116,10 +116,13 @@ def _single(head):
     return md.ModelConfig([md.LayerConfig([head])])
 
 
-def _patch_case(grid, shape, packing, x, kernels, fusion, ref, tol):
-    """The patch head over a grid geometry: the padding grid matrix lays each
-    center's window out as one block of slots, and duplicated padding dots
-    every block with channel c's kernel; the channels are fused by `fusion`."""
+def _patch_case(prior, x, kernels, fusion, ref, tol):
+    """The patch head over the grid geometry of `prior`, a padding
+    `GridStructural` spec: the padding grid matrix lays each center's window
+    out as one block of slots, and duplicated padding dots every block with
+    channel c's kernel; the channels are fused by `fusion`."""
+    v = prior.variant
+    grid, shape, packing = v.grid, v.shape, v.packing
     p = gg.patch_size(shape)
     p_count = len(gg.packing_centers(grid, packing, shape))
     head = md.HeadConfig(
@@ -127,29 +130,29 @@ def _patch_case(grid, shape, packing, x, kernels, fusion, ref, tol):
         expansion=tf.ExpansionSpec("identity"),
         reconciliation=rc.ReconciliationSpec("duplicated_padding", n=p_count,
                                              D=p * p_count, p=p, p_count=p_count),
-        channels=len(kernels), channel_fusion=fusion,
-        attr_prior=itd.InterdependenceSpec(
-            itd.GridStructural(grid, shape, packing, "padding")))
+        channels=len(kernels), channel_fusion=fusion, attr_prior=prior)
     store = md.ParameterStore()
     for c, kernel in enumerate(kernels):
         store.add_slot("l0.h0.c%d.psi" % c, (p,), kernel)
     return {"x": x, "model": _single(head), "store": store, "ref": ref, "tol": tol}
 
 
-# the fixed geometries of the cnn and pool cases, built once so that every
-# case reuses the patch tables kept on their grids
+# the fixed geometries of the cnn and pool cases and their grid specs, built
+# once so that every case reuses the grid matrix kept on its spec
 _CNN_GEOMETRY = (gg.GridSpec(8, 8, 3), gg.Cuboid(1, 1, 1, 1, 1, 1),
                  gg.PackingSpec(1.0, 1.0, 1.0, clip_out_of_grid=True))
 _POOL_GEOMETRY = (gg.GridSpec(8, 8, 1),
                   gg.Cuboid(0, 1, 0, 1, 0, 0),  # 2x2 window anchored at the center
                   gg.PackingSpec(2.0, 2.0, 1.0, clip_out_of_grid=True))
+_CNN_PRIOR, _POOL_PRIOR = (itd.InterdependenceSpec(itd.GridStructural(*geometry, "padding"))
+                           for geometry in (_CNN_GEOMETRY, _POOL_GEOMETRY))
 
 
 def build_cnn_case(prng, batch=4):
     grid, shape, packing = _CNN_GEOMETRY
     x = prng.normals((batch, grid.size))
     kernel = prng.normals((gg.patch_size(shape),))
-    return _patch_case(grid, shape, packing, x, [kernel], fu.FusionSpec("sum"),
+    return _patch_case(_CNN_PRIOR, x, [kernel], fu.FusionSpec("sum"),
                        ref_cross_correlation(x, grid, shape, packing, kernel), 1e-10)
 
 
@@ -160,7 +163,7 @@ def build_pool_case(prng, batch=4, kind="max"):
     x = prng.normals((batch, grid.size))
     ref = ref_pool(x, grid, shape, packing, kind)  # rejects an unknown kind
     fusion = fu.FusionSpec("average") if kind == "mean" else fu.FusionSpec("metric", metric=kind)
-    return _patch_case(grid, shape, packing, x, np.eye(gg.patch_size(shape)), fusion, ref, 0.0)
+    return _patch_case(_POOL_PRIOR, x, np.eye(gg.patch_size(shape)), fusion, ref, 0.0)
 
 
 def build_rnn_case(prng, steps=16, width=8):

@@ -14,7 +14,7 @@ from .numeric_core import Tape, as_dense, concat_nodes
 class FusionSpec:
     strategy: str  # weighted_sum | average | sum | metric | hadamard | concat_linear
     weights: tuple = ()          # weighted_sum fixed weights (when not learnable)
-    learnable: bool = False
+    learnable: bool = False      # weighted_sum only: learned weights (concat_linear always learns)
     metric: str = "max"
     target: int = 0              # concat_linear output width n
     low_rank: int = 0
@@ -29,9 +29,7 @@ def _concat_fabric(spec, total):
 
 
 def param_length(spec):
-    if not spec.learnable:
-        return 0
-    if spec.strategy == "weighted_sum":
+    if spec.strategy == "weighted_sum" and spec.learnable:
         return spec.input_count
     if spec.strategy == "concat_linear":
         return rc.param_length(_concat_fabric(spec, sum(spec.input_widths)))

@@ -373,23 +373,18 @@ def chain_structural_matrix(m, direction="uni", variant="onehop", hops=1,
     """Chain relation matrix; uni one-hop is the superdiagonal shift, which is
     nilpotent (A^m = 0), making the exponential and reciprocal series finite.
 
-    Uni chains are written band by band in closed form (see
-    `_uni_chain_bands`): O(m^2) to zero the dense result plus O(m) per band,
-    with no matrix product or elimination. A bi chain is the path graph:
-    one-hop, multi-hop and accumulative are `graph_structural_matrix` on it,
-    the exponential is the power series and the reciprocal the elimination.
-    I - A is singular exactly when 1 = 2 cos(k pi / (m + 1)) is an eigenvalue
-    of the path, that is when 3 divides m + 1; the reciprocal then falls back
-    to the accumulative walk sum of m - 1 hops.
+    A uni chain is `chain_structural_coo` densified: its bands in closed
+    form (see `_uni_chain_bands`), with no matrix product or solve. A bi
+    chain is the path graph: one-hop, multi-hop and accumulative are
+    `graph_structural_matrix` on it, the exponential is the power series and
+    the reciprocal `solve` of I - A. I - A is singular exactly when
+    1 = 2 cos(k pi / (m + 1)) is an eigenvalue of the path, that is when 3
+    divides m + 1; the reciprocal then falls back to the accumulative walk
+    sum of m - 1 hops.
     """
-    _check_chain(m, direction, variant, hops)
     if direction == "uni":
-        out = np.zeros((m, m))
-        flat = out.reshape(-1)
-        coefs = _uni_chain_bands(m, variant, hops, include_self)
-        for k in np.flatnonzero(coefs):
-            flat[k:(m - k) * m:m + 1] = coefs[k]
-        return out
+        return chain_structural_coo(m, direction, variant, hops, include_self).to_dense()
+    _check_chain(m, direction, variant, hops)
     path = Graph(m, zip(range(m - 1), range(1, m)))
     if variant == "onehop":
         out = path.adjacency()

@@ -1,5 +1,6 @@
-"""Dense/sparse kernels, matrix norms, a seeded random stream and a small
-reverse-mode tape.
+"""The sparse matrix type, a few dense kernels (scaled softmax, the series
+exponential, a LAPACK solve behind a singularity rule, matrix norms), a
+seeded random stream and a small reverse-mode tape.
 
 Dense matrices are plain numpy float64 arrays throughout the package. The
 sparse type is a canonicalized coordinate-list matrix that can multiply dense
@@ -158,12 +159,6 @@ class SparseCoo:
             out[:, cols] = terms
         return out
 
-    def matmul_dense(self, b):
-        b = np.asarray(b, dtype=float)
-        if b.ndim != 2 or self.cols != b.shape[0]:
-            raise ValueError("dimension mismatch")
-        return self.transpose().rmatmul(b.T).T
-
     def transpose(self):
         """The transposed matrix, built on first use and kept (with its own
         product plan) for the backward products that apply it."""
@@ -178,17 +173,6 @@ class SparseCoo:
         for i, j, v in self.triplets:
             lines.append("%d %d %.17g" % (i + 1, j + 1, v))
         return "\n".join(lines) + "\n"
-
-
-def matmul(a, b):
-    """Matrix product; sparse left operand stays sparse during the product."""
-    b = np.asarray(b, dtype=float)
-    if isinstance(a, SparseCoo):
-        return a.matmul_dense(b)
-    a = np.asarray(a, dtype=float)
-    if a.shape[1] != b.shape[0]:
-        raise ValueError("dimension mismatch: %s x %s" % (a.shape, b.shape))
-    return a @ b
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +190,14 @@ def scaled_softmax(a, r, axis="row"):
     return e / e.sum(axis=ax, keepdims=True)
 
 
-def matrix_exp(a, nilpotency_hint=None):
-    """Power series exp(a); exact finite sum when a nilpotency bound is given."""
+def matrix_exp(a):
+    """Power series exp(a), summed until a term's largest entry is below 1e-15."""
     a = as_dense(a)
     if a.shape[0] != a.shape[1]:
         raise ValueError("matrix_exp needs a square matrix")
     n = a.shape[0]
     out = np.eye(n)
     term = np.eye(n)
-    if nilpotency_hint is not None:
-        for k in range(1, int(nilpotency_hint)):
-            term = term @ a / k
-            out += term
-        return out
     for k in range(1, 400):
         term = term @ a / k
         if np.max(np.abs(term)) < 1e-15:
@@ -228,29 +207,30 @@ def matrix_exp(a, nilpotency_hint=None):
 
 
 def solve(a, b):
-    """Gaussian elimination with partial pivoting.
+    """x with a @ x = b, by LAPACK (np.linalg.solve).
 
-    Raises SingularMatrixError when a pivot magnitude drops below 1e-12.
+    Singularity rule: SingularMatrixError is raised when LAPACK reports a
+    singular matrix, or when ||a||_inf * ||x||_inf > 1e12 * ||b||_inf
+    (maximum absolute row sums). For b = I the product is the condition
+    number kappa_inf(a), so a system with kappa_inf(a) <= 1e12 never trips
+    the rule, whatever the scale of a. A 1-D b is solved as one column.
     """
     a = as_dense(a)
     b = as_dense(b)
     if b.ndim == 1:
         b = b[:, None]
     n = a.shape[0]
-    if a.shape[1] != n or b.shape[0] != n:
+    if a.shape != (n, n) or b.shape[0] != n:
         raise ValueError("dimension mismatch")
-    m = np.hstack([a.astype(float), b.astype(float)])
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(m[k:, k])))
-        if abs(m[piv, k]) < 1e-12:
-            raise SingularMatrixError("pivot below threshold at column %d" % k)
-        if piv != k:
-            m[[k, piv]] = m[[piv, k]]
-        factors = m[k + 1:, k] / m[k, k]
-        m[k + 1:] -= factors[:, None] * m[k]
-    x = np.zeros((n, b.shape[1]))
-    for k in range(n - 1, -1, -1):
-        x[k] = (m[k, n:] - m[k, k + 1:n] @ x[k + 1:]) / m[k, k]
+    try:
+        x = np.linalg.solve(a, b)
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("pivot below threshold: LAPACK reports a singular matrix") \
+            from None
+    growth = norm(a, "infinity") * norm(x, "infinity")
+    if growth > 1e12 * norm(b, "infinity"):
+        raise SingularMatrixError("pivot below threshold: ||a||_inf ||x||_inf = %.3g is above "
+                                  "1e12 ||b||_inf" % growth)
     return x
 
 

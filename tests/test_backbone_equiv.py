@@ -5,7 +5,7 @@ from rpn2 import backbone_equiv as be
 from rpn2 import grid_geometry as gg
 from rpn2 import interdependence as itd
 from rpn2 import model as md
-from rpn2.numeric_core import Prng, as_dense
+from rpn2.numeric_core import Prng, SparseCoo, as_dense
 
 
 # ---------------------------------------------------------------------------
@@ -282,3 +282,13 @@ def test_every_case_runs_the_canonical_head(kind):
 def test_pool_case_rejects_an_unknown_kind():
     with pytest.raises(ValueError, match="pooling kind"):
         be.build_pool_case(Prng(3), kind="median")
+
+
+@pytest.mark.parametrize("build", [be.build_cnn_case, be.build_pool_case])
+def test_patch_cases_share_one_grid_spec_and_matrix(build):
+    first = build(Prng(1))["model"].layers[0].heads[0].attr_prior
+    second = build(Prng(2))["model"].layers[0].heads[0].attr_prior
+    assert first is second
+    matrix = itd.build_matrix(first)
+    assert isinstance(matrix, SparseCoo)
+    assert itd.build_matrix(second) is matrix

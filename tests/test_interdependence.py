@@ -236,6 +236,70 @@ def _solve_oracle(a, b):
     return x
 
 
+def _oneshot_graphs(count=24, n=160):
+    """Graphs drawn as the benchmark's one-shot pagerank inputs are: each
+    pair i < j an edge with probability 0.03 to 0.04."""
+    iu, ju = np.triu_indices(n, 1)
+    for j in range(count):
+        rng = np.random.default_rng([14, j])
+        keep = rng.random(iu.size) < (0.03, 0.035, 0.04)[j % 3]
+        yield itd.Graph(n, zip(iu[keep].tolist(), ju[keep].tolist()))
+
+
+def _reachable_pairs(graph):
+    """Ordered pairs (i, j), i == j included, joined by a path: the nonzero
+    count of a pagerank matrix. Each node takes the smallest label along its
+    edges until no label changes."""
+    u, v = np.array(graph.edges, dtype=np.int64).reshape(-1, 2).T
+    label = np.arange(graph.n_nodes)
+    while True:
+        low = np.minimum(label[u], label[v])
+        new = label.copy()
+        np.minimum.at(new, u, low)
+        np.minimum.at(new, v, low)
+        if np.array_equal(new, label):
+            return int(np.sum(np.bincount(label) ** 2))
+        label = new
+
+
+def test_pagerank_nnz_is_the_reachable_pair_count():
+    disconnected = 0
+    for graph in _oneshot_graphs():
+        pr = itd.graph_structural_matrix(graph, "pagerank", alpha=0.15, normalization="row")
+        pairs = _reachable_pairs(graph)
+        disconnected += pairs < graph.n_nodes ** 2
+        assert SparseCoo.from_dense(pr).nnz == pairs
+    assert disconnected >= 5
+
+
+def test_solve_matches_the_elimination_oracle():
+    systems = []
+    for graph in _oneshot_graphs():
+        adj = graph.adjacency()
+        deg = adj.sum(axis=1, keepdims=True)
+        systems.append(np.eye(graph.n_nodes) - 0.85 * adj / np.where(deg == 0.0, 1.0, deg))
+    for m in (4, 6, 64, 130):
+        path = itd.Graph(m, zip(range(m - 1), range(1, m)))
+        systems.append(np.eye(m) - path.adjacency())
+    for a in systems:
+        eye = np.eye(a.shape[0])
+        want = _solve_oracle(a, eye)
+        assert np.max(np.abs(solve(a, eye) - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_solve_near_singular_raises():
+    with pytest.raises(SingularMatrixError, match="pivot below threshold"):
+        solve(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-14]]), np.eye(2))
+
+
+def test_solve_rule_is_scale_free():
+    # kappa_inf = 1: solved, whatever the scale
+    assert np.allclose(solve(1e-13 * np.eye(3), np.eye(3)), 1e13 * np.eye(3), rtol=1e-15, atol=0)
+    # kappa_inf = 1e13 > 1e12
+    with pytest.raises(SingularMatrixError):
+        solve(np.diag([1e6, 1e-7]), np.eye(2))
+
+
 def _uni_chain_oracle(m, variant, hops, include_self):
     """Uni chain matrices from their definitions: powers of the dense shift,
     the finite exponential series and the elimination for (I - A)^-1."""

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from rpn2 import fusion as fu
+from rpn2 import model as md
 from rpn2 import reconciliation as rc
+from rpn2 import transformation as tf
 from rpn2.numeric_core import Tape
 
 
@@ -205,6 +207,21 @@ def test_fusion_param_lengths():
                                          target=3, low_rank=2,
                                          input_widths=(2, 2))) == 14
     assert fu.param_length(fu.FusionSpec("sum")) == 0
+
+
+def test_concat_linear_is_sized_without_learnable():
+    spec = fu.FusionSpec("concat_linear", target=3, input_widths=(2, 2))
+    assert fu.param_length(spec) == 12
+    head = md.HeadConfig(m=4, n=2, expansion=tf.ExpansionSpec("identity"),
+                         reconciliation=rc.ReconciliationSpec("identity", n=2, D=4),
+                         channels=2, channel_fusion=spec)
+    model = md.ModelConfig([md.LayerConfig([head])])
+    rng = np.random.default_rng(3)
+    x, y = rng.standard_normal((5, 4)), rng.standard_normal((5, 3))
+    # train raises unless every registered slot receives a gradient
+    history, store = md.train(model, x, y, epochs=1)
+    assert len(history.epochs) == 1
+    assert store.slots["l0.h0.cfuse"][1] == 12
 
 
 def test_fusion_errors():
