@@ -249,8 +249,8 @@ def _processors(cfg, path):
     return dict(cfg)
 
 
-# strategies a bare name configures: the config has no weights, learnable,
-# target or metric keys, so weighted_sum and concat_linear cannot be expressed
+# strategies a bare name configures: the config has no weights, target,
+# low_rank or metric keys, so weighted_sum and concat_linear cannot be expressed
 _HEAD_FUSIONS = ("average", "sum", "hadamard", "metric")
 
 

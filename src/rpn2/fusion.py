@@ -13,13 +13,10 @@ from .numeric_core import Tape, as_dense, concat_nodes
 @dataclass(frozen=True)
 class FusionSpec:
     strategy: str  # weighted_sum | average | sum | metric | hadamard | concat_linear
-    weights: tuple = ()          # weighted_sum fixed weights (when not learnable)
-    learnable: bool = False      # weighted_sum only: learned weights (concat_linear always learns)
+    weights: tuple = ()  # weighted_sum: one fixed weight per input; empty learns them
     metric: str = "max"
-    target: int = 0              # concat_linear output width n
-    low_rank: int = 0
-    input_count: int = 0         # for learnable parameter sizing
-    input_widths: tuple = ()     # concat_linear n_i list
+    target: int = 0      # concat_linear output width
+    low_rank: int = 0    # concat_linear: rank of a low-rank map, 0 for a full one
 
 
 def _concat_fabric(spec, total):
@@ -28,11 +25,12 @@ def _concat_fabric(spec, total):
                                  n=total, D=spec.target, rank=spec.low_rank)
 
 
-def param_length(spec):
-    if spec.strategy == "weighted_sum" and spec.learnable:
-        return spec.input_count
+def param_length(spec, widths):
+    """Learned-parameter count of fusing inputs of these column widths."""
+    if spec.strategy == "weighted_sum" and not spec.weights:
+        return len(widths)
     if spec.strategy == "concat_linear":
-        return rc.param_length(_concat_fabric(spec, sum(spec.input_widths)))
+        return rc.param_length(_concat_fabric(spec, sum(widths)))
     return 0
 
 
@@ -58,26 +56,25 @@ def fuse_nodes(nodes, spec, param_node=None):
     if k == 0:
         raise ValueError("nothing to fuse")
     tape = nodes[0].tape
+    shapes = [n.value.shape for n in nodes]
     if spec.strategy == "concat_linear":
-        rows = nodes[0].shape[0]
-        if any(n.shape[0] != rows for n in nodes):
+        if any(s[0] != shapes[0][0] for s in shapes):
             raise ValueError("concat_linear inputs must share row counts")
-    elif any(n.shape != nodes[0].shape for n in nodes):
+    elif shapes.count(shapes[0]) != k:
         raise ValueError("fusion inputs must share a shape")
-    learned = spec.strategy == "concat_linear" or (
-        spec.strategy == "weighted_sum" and spec.learnable)
-    if learned and param_node is None:
-        raise ValueError("%s fusion needs a parameter vector" % spec.strategy)
+    need = param_length(spec, [s[-1] for s in shapes])
+    given = 0 if param_node is None else param_node.value.size
+    if given != need:
+        raise ValueError("%s fusion of %d inputs needs %d parameters, got %d"
+                         % (spec.strategy, k, need, given))
     if spec.strategy in ("sum", "average"):
         out = functools.reduce(operator.add, nodes)
         return out if spec.strategy == "sum" else out.scale(1.0 / k)
     if spec.strategy == "hadamard":
         return functools.reduce(operator.mul, nodes)
     if spec.strategy == "weighted_sum":
-        if spec.learnable:
-            weights = [param_node.take(i, i + 1) for i in range(param_node.value.size)]
-        else:
-            weights = [float(w) for w in spec.weights]
+        weights = ([float(w) for w in spec.weights]
+                   or [param_node.take(i, i + 1) for i in range(k)])
         if len(weights) != k:
             raise ValueError("need one weight per input")
         return functools.reduce(operator.add, [n * w for n, w in zip(nodes, weights)])

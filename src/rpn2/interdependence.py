@@ -117,9 +117,8 @@ class LowRankBilinear:
 class RpnHead:
     m: int
     m_prime: int
-    flat_len: int          # b*m of the batch it will see
-    expansion: object      # transformation.ExpansionSpec
-    reconciliation: object  # reconciliation.ReconciliationSpec (n=1, D per expansion)
+    expansion: object      # transformation.ExpansionSpec of the flattened batch
+    reconciliation: object  # n = m * m_prime; D = the expanded flat width
     remainder: object = None  # None or constant ndarray added to the flat output
 
 
@@ -189,6 +188,10 @@ def param_length(spec):
     if isinstance(v, (Parameterized, Bilinear, LowRankBilinear, RpnHead)):
         return rc.param_length(_fabric(v))
     if isinstance(v, Hybrid):
+        f = v.fusion
+        if f.strategy == "concat_linear" or (f.strategy == "weighted_sum" and not f.weights):
+            raise ValueError("a Hybrid learns no fusion parameters, so it cannot fuse "
+                             "with %s; give weighted_sum fixed weights" % f.strategy)
         return sum(param_length(c) for c in v.variants)
     return 0
 
@@ -576,11 +579,11 @@ def build_node(spec, x_node, param_node):
         a = data.transpose().matmul(wp).matmul(data.transpose().matmul(wq).transpose())
     elif isinstance(v, RpnHead):
         # xi(X|w) = <kappa'(flatten(X)), psi'(w')> + pi', reshaped m x m_prime
-        flat = data.reshape((1, -1))
-        if flat.value.size != v.flat_len:
-            raise ValueError("batch size does not match declared flat length")
-        psi = rc.reconcile_node(v.reconciliation, param_node)
-        a = tf.expand_node(flat, v.expansion).matmul(psi.transpose())
+        flat = tf.expand_node(data.reshape((1, -1)), v.expansion)
+        if flat.shape[1] != v.reconciliation.D:
+            raise ValueError("RpnHead expands the batch to width %d, but its "
+                             "reconciliation has D = %d" % (flat.shape[1], v.reconciliation.D))
+        a = flat.matmul(rc.reconcile_node(v.reconciliation, param_node).transpose())
         if v.remainder is not None:
             a = a + np.asarray(v.remainder, dtype=float).reshape(1, -1)
         a = a.reshape((v.m, v.m_prime))

@@ -104,17 +104,25 @@ def _slot_walk(model):
     for k, layer in enumerate(model.layers):
         for h, head in enumerate(layer.heads):
             pre = "l%d.h%d." % (k, h)
+            recon = head.reconciliation
+            # fusions are sized from n, so n must be the width recon gives
+            width = recon.p_count if recon.method == "duplicated_padding" else recon.n
+            if head.n != width:
+                raise ValueError("head l%d.h%d declares n = %d, but its %s reconciliation "
+                                 "gives width %d" % (k, h, head.n, recon.method, width))
             scale = 1.0 / np.sqrt(max(1, head.m))
             for tag in _INTERDEP_TAGS:
                 spec = getattr(head, tag)
                 if spec is not None:
                     yield pre + tag, (itd.param_length(spec),), scale
             for c in range(head.channels):
-                yield pre + "c%d.psi" % c, (rc.param_length(head.reconciliation),), scale
+                yield pre + "c%d.psi" % c, (rc.param_length(recon),), scale
             if head.remainder == "linear":
                 yield pre + "pi", (head.m, head.n), scale
-            yield pre + "cfuse", (fu.param_length(head.channel_fusion),), scale
-        yield "l%d.hfuse" % k, (fu.param_length(layer.head_fusion),), 1.0
+            yield pre + "cfuse", (fu.param_length(head.channel_fusion,
+                                                  (head.n,) * head.channels),), scale
+        yield "l%d.hfuse" % k, (fu.param_length(layer.head_fusion,
+                                                [h.n for h in layer.heads]),), 1.0
 
 
 def init_store(model, seed=0):

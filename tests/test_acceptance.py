@@ -181,8 +181,7 @@ def test_criterion_5_gradient_suite():
                        reconciliation=rc.ReconciliationSpec("identity", n=2, D=3))
     h2 = md.HeadConfig(m=3, n=3, expansion=tf.ExpansionSpec("identity"),
                        reconciliation=rc.ReconciliationSpec("identity", n=3, D=3))
-    layer = md.LayerConfig([h1, h2], fu.FusionSpec(
-        "concat_linear", learnable=True, target=3, input_widths=(2, 3)))
+    layer = md.LayerConfig([h1, h2], fu.FusionSpec("concat_linear", target=3))
     cases["concat_linear"] = _fd_worst(md.ModelConfig([layer]), x4)
 
     l0 = md.HeadConfig(

@@ -272,3 +272,20 @@ def test_train_checks_loss_optimizer_and_epochs_before_training(tmp_path, capsys
     assert bad in capsys.readouterr().err
     assert not (tmp_path / "m.csv").exists()
     assert not (tmp_path / "c.json").exists()
+
+
+def test_train_rejects_head_whose_n_its_reconciliation_does_not_give(tmp_path, capsys):
+    head = {"m": 2, "n": 16,
+            "reconciliation": {"method": "identity", "n": 8, "D": 2}}
+    cfg = _write(tmp_path / "t.json", {
+        "model": {"layers": [{"heads": [head]}]},
+        "data": {"kind": "two_moons", "n": 40, "noise": 0.1, "seed": 7},
+        "train": {"loss": "mse", "epochs": 5, "seed": 5},
+        "outputs": {"metrics": str(tmp_path / "m.csv"),
+                    "checkpoint": str(tmp_path / "c.json")}})
+    assert _run(["train", "--config", cfg]) == 4
+    captured = capsys.readouterr()
+    assert "head l0.h0 declares n = 16" in captured.err
+    assert "epoch" not in captured.out
+    assert not (tmp_path / "m.csv").exists()
+    assert not (tmp_path / "c.json").exists()

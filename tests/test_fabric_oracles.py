@@ -6,6 +6,8 @@ the slot registration of init_store, block by block. Values and tape
 gradients of the fabricated matrices must match it byte for byte.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -105,11 +107,10 @@ def _oracle_concat_linear(nodes, spec, param_node):
 @pytest.mark.parametrize("widths,target,low_rank", [
     ((2, 3), 4, 0), ((2, 3), 4, 2), ((1, 1, 5), 3, 1), ((4,), 6, 3), ((3, 3), 1, 0)])
 def test_concat_linear_matches_oracle(widths, target, low_rank):
-    spec = fu.FusionSpec("concat_linear", learnable=True, target=target,
-                         low_rank=low_rank, input_widths=widths)
+    spec = fu.FusionSpec("concat_linear", target=target, low_rank=low_rank)
     total = sum(widths)
     want_len = (total + target) * low_rank if low_rank else total * target
-    assert fu.param_length(spec) == want_len
+    assert fu.param_length(spec, widths) == want_len
     rng = np.random.default_rng(total * 7 + target)
     inputs = [rng.standard_normal((5, w)) for w in widths]
     w = rng.standard_normal(want_len)
@@ -124,6 +125,17 @@ def test_concat_linear_matches_oracle(widths, target, low_rank):
     want = run(_oracle_concat_linear)
     _assert_same_bytes(run(fu.fuse_nodes), want)
     assert fu.fuse(inputs, spec, w).tobytes() == want[0].tobytes()
+
+
+def _oracle_fusion_length(spec, widths):
+    """Learned-parameter count of a fusion of inputs of these widths, written
+    out per strategy rather than read from fusion.param_length."""
+    if spec.strategy == "weighted_sum" and not spec.weights:
+        return len(widths)
+    if spec.strategy == "concat_linear":
+        total = sum(widths)
+        return (total + spec.target) * spec.low_rank if spec.low_rank else total * spec.target
+    return 0
 
 
 def _oracle_init_store(model, seed=0):
@@ -151,12 +163,12 @@ def _oracle_init_store(model, seed=0):
                 name = "l%d.h%d.pi" % (k, h)
                 init = (prng.derive(name).uniforms((head.m, head.n)) * 2 - 1) * scale
                 store.add_slot(name, (head.m, head.n), init)
-            length = fu.param_length(head.channel_fusion)
+            length = _oracle_fusion_length(head.channel_fusion, [head.n] * head.channels)
             if length:
                 name = "l%d.h%d.cfuse" % (k, h)
                 init = (prng.derive(name).uniforms((length,)) * 2 - 1) * scale
                 store.add_slot(name, (length,), init)
-        length = fu.param_length(layer.head_fusion)
+        length = _oracle_fusion_length(layer.head_fusion, [h.n for h in layer.heads])
         if length:
             name = "l%d.hfuse" % k
             init = (prng.derive(name).uniforms((length,)) * 2 - 1)
@@ -177,16 +189,14 @@ def _every_slot_model():
         attr_post=itd.InterdependenceSpec(itd.Parameterized(m, m)),
         inst_prior=itd.InterdependenceSpec(itd.Bilinear(m), axis="instance"),
         inst_post=itd.InterdependenceSpec(itd.LowRankBilinear(5, 2), axis="instance"),
-        channel_fusion=fu.FusionSpec("weighted_sum", learnable=True, input_count=2))
+        channel_fusion=fu.FusionSpec("weighted_sum"))
     plain = md.HeadConfig(
         m=m, n=3, expansion=tf.ExpansionSpec("identity"),
         reconciliation=rc.ReconciliationSpec("constant_eye", n=3, D=m),
         attr_prior=itd.InterdependenceSpec(itd.Identity(m)))
     return md.ModelConfig([
-        md.LayerConfig([full, plain], fu.FusionSpec(
-            "concat_linear", learnable=True, target=3, low_rank=2, input_widths=(3, 3))),
-        md.LayerConfig([plain, full], fu.FusionSpec("weighted_sum", learnable=True,
-                                                    input_count=2))])
+        md.LayerConfig([full, plain], fu.FusionSpec("concat_linear", target=3, low_rank=2)),
+        md.LayerConfig([plain, full], fu.FusionSpec("weighted_sum"))])
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2 ** 63 + 5])
@@ -200,3 +210,31 @@ def test_init_store_matches_five_block_oracle(seed):
     tags = {name.split(".", 2)[-1] for name in got.slots}
     assert {"attr_prior", "attr_post", "inst_prior", "inst_post", "c0.psi", "c1.psi",
             "pi", "cfuse", "hfuse"} <= tags
+
+
+# init_store of _every_slot_model as it stood while fusions declared their
+# own sizes (input_count, input_widths): derived sizes must give these bytes
+_EVERY_SLOT_MAP = {
+    "l0.h0.attr_prior": (0, 8, (8,)), "l0.h0.attr_post": (8, 16, (16,)),
+    "l0.h0.inst_prior": (24, 16, (16,)), "l0.h0.inst_post": (40, 20, (20,)),
+    "l0.h0.c0.psi": (60, 14, (14,)), "l0.h0.c1.psi": (74, 14, (14,)),
+    "l0.h0.pi": (88, 12, (4, 3)), "l0.h0.cfuse": (100, 2, (2,)),
+    "l0.hfuse": (102, 18, (18,)),
+    "l1.h1.attr_prior": (120, 8, (8,)), "l1.h1.attr_post": (128, 16, (16,)),
+    "l1.h1.inst_prior": (144, 16, (16,)), "l1.h1.inst_post": (160, 20, (20,)),
+    "l1.h1.c0.psi": (180, 14, (14,)), "l1.h1.c1.psi": (194, 14, (14,)),
+    "l1.h1.pi": (208, 12, (4, 3)), "l1.h1.cfuse": (220, 2, (2,)),
+    "l1.hfuse": (222, 2, (2,)),
+}
+_EVERY_SLOT_SHA256 = {
+    0: "8a833cb274a4548afcabd9aae9c31d8060fa0db1c571e8e220c8265c1bd8b944",
+    7: "ef512dd76459e87d35512d2c7a4c864a4aa85077ddee2867ddf1efc2ccb136cf",
+    2 ** 63 + 5: "e988621daa9eadb7b8aa95ac15582b96d39fb4af90f8becde84092fd2c2efa16",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_EVERY_SLOT_SHA256))
+def test_init_store_of_every_slot_model_is_pinned(seed):
+    store = md.init_store(_every_slot_model(), seed)
+    assert list(store.slots.items()) == list(_EVERY_SLOT_MAP.items())
+    assert hashlib.sha256(store.vector.tobytes()).hexdigest() == _EVERY_SLOT_SHA256[seed]

@@ -54,7 +54,7 @@ def _variant(kind, dim, b, m, axis, draw):
     if kind == "lowrank_bilinear":
         return itd.LowRankBilinear(rows, draw(st.integers(1, 2)))
     if kind == "rpn_head":
-        return itd.RpnHead(dim, dim, b * m, tf.ExpansionSpec("identity"),
+        return itd.RpnHead(dim, dim, tf.ExpansionSpec("identity"),
                            rc.ReconciliationSpec("identity", n=dim * dim, D=b * m))
     if kind == "grid":
         return itd.GridStructural(gg.GridSpec(dim, 1, 1), gg.Cuboid(1, 1, 0, 0, 0, 0),
@@ -92,14 +92,11 @@ def _fusion(kind, n):
         "sum": fu.FusionSpec("sum"),
         "average": fu.FusionSpec("average"),
         "weighted_sum": fu.FusionSpec("weighted_sum", weights=(0.7, -1.3)),
-        "weighted_sum_learnable": fu.FusionSpec("weighted_sum", learnable=True,
-                                                input_count=2),
+        "weighted_sum_learnable": fu.FusionSpec("weighted_sum"),
         "hadamard": fu.FusionSpec("hadamard"),
         "metric": fu.FusionSpec("metric", metric="max"),
-        "concat_linear": fu.FusionSpec("concat_linear", learnable=True, target=n,
-                                       input_widths=(n, n)),
-        "concat_linear_low_rank": fu.FusionSpec("concat_linear", learnable=True, target=n,
-                                                low_rank=1, input_widths=(n, n)),
+        "concat_linear": fu.FusionSpec("concat_linear", target=n),
+        "concat_linear_low_rank": fu.FusionSpec("concat_linear", target=n, low_rank=1),
     }[kind]
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from rpn2 import grid_geometry as gg
 from rpn2 import interdependence as itd
+from rpn2.fusion import FusionSpec
 from rpn2.numeric_core import SingularMatrixError, SparseCoo, as_dense, matrix_exp, solve
 
 
@@ -477,7 +480,6 @@ def test_scaled_col_softmax_post_norm():
 
 
 def test_hybrid_hadamard_masking():
-    from rpn2.fusion import FusionSpec
     g = itd.Graph(6, [(0, 1), (2, 3), (4, 5)])
     rng = np.random.default_rng(10)
     x = rng.standard_normal((4, 6))
@@ -499,7 +501,7 @@ def test_rpn_head_matches_parameterized():
     x = rng.standard_normal((2, 3))
     m, mp = 3, 4
     w = rng.standard_normal(6 * m * mp)
-    head = _spec(itd.RpnHead(m, mp, 6, ExpansionSpec("identity"),
+    head = _spec(itd.RpnHead(m, mp, ExpansionSpec("identity"),
                              ReconciliationSpec("identity", n=m * mp, D=6)))
     a = itd.build_matrix(head, x, w)
     assert a.shape == (m, mp)
@@ -609,3 +611,39 @@ def test_mutual_info_rejects_fewer_than_three_rows():
         assert itd.statistical_kernel_matrix(x, kind).shape == (4, 4)
     assert itd.statistical_kernel_matrix(
         np.random.default_rng(4).standard_normal((3, 4)), "mutual_info").shape == (4, 4)
+
+
+@pytest.mark.parametrize("fusion", [FusionSpec("weighted_sum"),
+                                    FusionSpec("concat_linear", target=3),
+                                    FusionSpec("concat_linear", target=3, low_rank=1)])
+def test_hybrid_whose_fusion_learns_is_refused_when_sized(fusion):
+    # sizing used to count the children alone (9 here) and the build failed
+    # only once the fusion asked for its missing parameter vector
+    spec = _spec(itd.Hybrid((itd.Identity(3), itd.Parameterized(3, 3)), fusion))
+    with pytest.raises(ValueError, match="cannot fuse with %s" % fusion.strategy):
+        itd.param_length(spec)
+    with pytest.raises(ValueError, match="Hybrid learns no fusion parameters"):
+        itd.build_matrix(spec, None, np.ones(9))
+
+
+def test_hybrid_with_fixed_weights_is_sized_by_its_children():
+    spec = _spec(itd.Hybrid((itd.Identity(3), itd.Parameterized(3, 3)),
+                            FusionSpec("weighted_sum", weights=(2.0, 0.5))))
+    assert itd.param_length(spec) == 9
+    w = np.arange(9.0)
+    got = itd.build_matrix(spec, None, w)
+    assert np.array_equal(got, 2.0 * np.eye(3) + 0.5 * w.reshape(3, 3))
+
+
+def test_rpn_head_rejects_batch_of_another_flat_width():
+    from rpn2.reconciliation import ReconciliationSpec
+    from rpn2.transformation import ExpansionSpec
+    head = _spec(itd.RpnHead(3, 4, ExpansionSpec("identity"),
+                             ReconciliationSpec("identity", n=12, D=6)))
+    assert [f.name for f in dataclasses.fields(itd.RpnHead)] == [
+        "m", "m_prime", "expansion", "reconciliation", "remainder"]
+    w = np.ones(72)
+    assert itd.build_matrix(head, np.ones((2, 3)), w).shape == (3, 4)
+    with pytest.raises(ValueError, match="expands the batch to width 9, but its "
+                                         "reconciliation has D = 6"):
+        itd.build_matrix(head, np.ones((3, 3)), w)

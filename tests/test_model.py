@@ -313,3 +313,38 @@ def test_identity_remainder_checks_widths_of_duplicated_padding_heads():
     store.add_slot("l0.h0.c0.psi", (4,), np.ones(4))
     with pytest.raises(ValueError, match="identity remainder"):
         md.model_forward(np.ones((3, 4)), _single(head), store)
+
+
+@pytest.mark.parametrize("recon,n", [
+    (rc.ReconciliationSpec("identity", n=8, D=2), 16),
+    (rc.ReconciliationSpec("duplicated_padding", n=2, D=4, p=2, p_count=2), 3),
+])
+def test_init_store_rejects_head_width_its_reconciliation_does_not_give(recon, n):
+    # a head of the wrong n used to forward at the reconciliation's width,
+    # and head fusion would be sized from the wrong n
+    ok = md.HeadConfig(m=2, n=2, expansion=tf.ExpansionSpec("identity"),
+                       reconciliation=rc.ReconciliationSpec("identity", n=2, D=2))
+    bad = md.HeadConfig(m=2, n=n, expansion=tf.ExpansionSpec("identity"),
+                        reconciliation=recon)
+    model = md.ModelConfig([md.LayerConfig([ok, bad])])
+    with pytest.raises(ValueError, match=r"head l0\.h1 declares n = %d" % n):
+        md.init_store(model, 0)
+
+
+def test_duplicated_padding_head_width_is_its_block_count():
+    head = md.HeadConfig(m=4, n=2, expansion=tf.ExpansionSpec("identity"),
+                         reconciliation=rc.ReconciliationSpec(
+                             "duplicated_padding", n=5, D=4, p=2, p_count=2))
+    assert md.init_store(_single(head), 0).slots["l0.h0.c0.psi"][1] == 2
+
+
+@pytest.mark.parametrize("fusion", [fu.FusionSpec("weighted_sum"),
+                                    fu.FusionSpec("concat_linear", target=3)])
+def test_init_store_rejects_hybrid_whose_fusion_learns(fusion):
+    head = md.HeadConfig(
+        m=3, n=2, expansion=tf.ExpansionSpec("identity"),
+        reconciliation=rc.ReconciliationSpec("identity", n=2, D=3),
+        attr_prior=itd.InterdependenceSpec(itd.Hybrid(
+            (itd.Identity(3), itd.Parameterized(3, 3)), fusion)))
+    with pytest.raises(ValueError, match="Hybrid learns no fusion parameters"):
+        md.init_store(_single(head), 0)

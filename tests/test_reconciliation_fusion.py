@@ -184,34 +184,29 @@ def test_hadamard_commutative_associative():
 def test_concat_linear_identity_and_low_rank():
     rng = np.random.default_rng(5)
     a = rng.standard_normal((4, 3))
-    spec = fu.FusionSpec("concat_linear", target=3, input_widths=(3,),
-                         learnable=True, input_count=1)
+    spec = fu.FusionSpec("concat_linear", target=3)
     got = fu.fuse([a], spec, np.eye(3).reshape(-1))
     assert np.array_equal(got, a)
     b = rng.standard_normal((4, 2))
     p = rng.standard_normal((5, 2))
     q = rng.standard_normal((3, 2))
-    spec_lr = fu.FusionSpec("concat_linear", target=3, low_rank=2,
-                            input_widths=(3, 2), learnable=True, input_count=2)
+    spec_lr = fu.FusionSpec("concat_linear", target=3, low_rank=2)
     params = np.concatenate([p.reshape(-1), q.reshape(-1)])
     got_lr = fu.fuse([a, b], spec_lr, params)
     assert np.allclose(got_lr, np.concatenate([a, b], 1) @ p @ q.T, atol=1e-13)
 
 
 def test_fusion_param_lengths():
-    assert fu.param_length(fu.FusionSpec("weighted_sum", learnable=True,
-                                         input_count=4)) == 4
-    assert fu.param_length(fu.FusionSpec("concat_linear", learnable=True,
-                                         target=3, input_widths=(2, 2))) == 12
-    assert fu.param_length(fu.FusionSpec("concat_linear", learnable=True,
-                                         target=3, low_rank=2,
-                                         input_widths=(2, 2))) == 14
-    assert fu.param_length(fu.FusionSpec("sum")) == 0
+    assert fu.param_length(fu.FusionSpec("weighted_sum"), (3, 3, 3, 3)) == 4
+    assert fu.param_length(fu.FusionSpec("concat_linear", target=3), (2, 2)) == 12
+    assert fu.param_length(fu.FusionSpec("concat_linear", target=3, low_rank=2),
+                           (2, 2)) == 14
+    assert fu.param_length(fu.FusionSpec("sum"), (2, 2)) == 0
 
 
 def test_concat_linear_is_sized_without_learnable():
-    spec = fu.FusionSpec("concat_linear", target=3, input_widths=(2, 2))
-    assert fu.param_length(spec) == 12
+    spec = fu.FusionSpec("concat_linear", target=3)
+    assert fu.param_length(spec, (2, 2)) == 12
     head = md.HeadConfig(m=4, n=2, expansion=tf.ExpansionSpec("identity"),
                          reconciliation=rc.ReconciliationSpec("identity", n=2, D=4),
                          channels=2, channel_fusion=spec)
@@ -247,7 +242,7 @@ def test_fuse_nodes_matches_fuse():
     # learnable strategies carry a parameter node
     tape = Tape()
     nodes = [tape.constant(m) for m in mats]
-    wspec = fu.FusionSpec("weighted_sum", learnable=True, input_count=3)
+    wspec = fu.FusionSpec("weighted_sum")
     w = np.array([0.5, -1.0, 2.0])
     got = fu.fuse_nodes(nodes, wspec, tape.parameter(w, name="w"))
     assert np.max(np.abs(got.value - fu.fuse(mats, wspec, w))) < 1e-13
@@ -292,7 +287,7 @@ def _fd_fusion(spec, mats, params, h=1e-6):
 
 
 def test_learnable_weighted_sum_gradient():
-    spec = fu.FusionSpec("weighted_sum", learnable=True, input_count=3)
+    spec = fu.FusionSpec("weighted_sum")
     params = np.array([0.5, -1.0, 2.0])
     assert _fd_fusion(spec, _rand_mats(3, (3, 4), seed=8), params) < 1e-6
 
@@ -300,7 +295,35 @@ def test_learnable_weighted_sum_gradient():
 def test_low_rank_concat_linear_gradient():
     rng = np.random.default_rng(9)
     mats = [rng.standard_normal((4, 3)), rng.standard_normal((4, 2))]
-    spec = fu.FusionSpec("concat_linear", target=3, low_rank=2,
-                         input_widths=(3, 2), learnable=True, input_count=2)
-    params = rng.standard_normal(fu.param_length(spec))
+    spec = fu.FusionSpec("concat_linear", target=3, low_rank=2)
+    params = rng.standard_normal(fu.param_length(spec, (3, 2)))
     assert _fd_fusion(spec, mats, params) < 1e-6
+
+
+@pytest.mark.parametrize("spec,widths", [
+    (fu.FusionSpec("weighted_sum"), (3, 3)),
+    (fu.FusionSpec("concat_linear", target=2), (3, 3)),
+    (fu.FusionSpec("concat_linear", target=2, low_rank=1), (3, 3)),
+])
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_fuse_rejects_parameter_vector_of_wrong_length(spec, widths, delta):
+    # a short concat_linear vector used to fail inside a numpy reshape
+    mats = _rand_mats(len(widths), (4, 3), seed=10)
+    need = fu.param_length(spec, widths)
+    fu.fuse(mats, spec, np.ones(need))
+    with pytest.raises(ValueError, match="%s fusion of 2 inputs needs %d parameters, got %d"
+                       % (spec.strategy, need, need + delta)):
+        fu.fuse(mats, spec, np.ones(need + delta))
+
+
+@pytest.mark.parametrize("spec", [fu.FusionSpec("weighted_sum", weights=(1.0, 1.0)),
+                                  fu.FusionSpec("sum")])
+def test_fuse_rejects_parameters_a_fusion_does_not_learn(spec):
+    # fixed weights used to be ignored without a word when a vector was given
+    with pytest.raises(ValueError, match="needs 0 parameters, got 2"):
+        fu.fuse(_rand_mats(2, (3, 3), seed=11), spec, np.full(2, 100.0))
+
+
+def test_fusion_spec_fields():
+    assert [f.name for f in dataclasses.fields(fu.FusionSpec)] == [
+        "strategy", "weights", "metric", "target", "low_rank"]
