@@ -15,7 +15,15 @@ evaluate the same code on a gradient-free tape.
 Parameter-free interdependence matrices are constants (no gradient flows
 through them). Structure (identity, grid, chain and graph matrices) is
 resolved once per spec: built on first use and kept on the spec, so every
-later forward and training epoch reuses it; kernels are built per batch. A
+later forward and training epoch reuses it; kernels are built per batch.
+`train` folds more, because its input is the same in every epoch: per call,
+it builds each layer-0 head's gradient-free prefix (input processor,
+attribute prior, expansion and its processor, attribute posterior and
+instance prior, up to the first station with a parameter) and any
+parameter-free matrix the head applies past that prefix (a kernel at
+`inst_post`) once, in the first epoch, and lifts the stored values as
+constants in the later ones. Layers past the first read a gradient-carrying
+input and fold nothing; `model_forward` and `diagnostics` fold nothing. A
 sparse matrix, such as a grid matrix, stays a `SparseCoo` at its station:
 `Node.matmul` applies it with `SparseCoo.rmatmul` and back-propagates
 through its transpose, so the head never densifies it (a post_norm,
@@ -25,6 +33,7 @@ config whose parameters would never learn. A forward's tape is released
 once it is done with (`model_forward`, `Tape.backward`).
 """
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,7 +42,7 @@ from . import fusion as fu
 from . import interdependence as itd
 from . import reconciliation as rc
 from . import transformation as tf
-from .numeric_core import (Prng, SparseCoo, Tape, cross_entropy_node, norm,
+from .numeric_core import (Node, Prng, SparseCoo, Tape, cross_entropy_node, norm,
                            softmax_node)
 
 
@@ -119,10 +128,16 @@ def _slot_walk(model):
                 yield pre + "c%d.psi" % c, (rc.param_length(recon),), scale
             if head.remainder == "linear":
                 yield pre + "pi", (head.m, head.n), scale
-            yield pre + "cfuse", (fu.param_length(head.channel_fusion,
-                                                  (head.n,) * head.channels),), scale
-        yield "l%d.hfuse" % k, (fu.param_length(layer.head_fusion,
-                                                [h.n for h in layer.heads]),), 1.0
+            yield pre + "cfuse", (_fusion_length(head.channel_fusion,
+                                                 (head.n,) * head.channels),), scale
+        yield "l%d.hfuse" % k, (_fusion_length(layer.head_fusion,
+                                               [h.n for h in layer.heads]),), 1.0
+
+
+def _fusion_length(spec, widths):
+    """fusion.param_length, or 0 for one input: the forward never fuses one
+    channel or one head, so a slot for it would get no gradient."""
+    return fu.param_length(spec, widths) if len(widths) > 1 else 0
 
 
 def init_store(model, seed=0):
@@ -175,33 +190,63 @@ def _instance_apply(a, cur):
     return a.transpose().matmul(cur)
 
 
-def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
-    cur = _apply_processor(x_node, head.processors.get("input"))
-    x_station = cur
+# the stations a head's input passes before its channels, in order; `train`
+# folds the leading ones whose output needs no gradient
+_PREFIX_STATIONS = ("attr_prior", "expansion", "attr_post", "inst_prior")
 
-    def interdep(tag):
+
+def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None, memo=None):
+    # With a memo (one `train` call), a head whose input needs no gradient
+    # keeps the value of its gradient-free prefix under (k, h), the input
+    # processor's under (k, h, "input"), and each constant relation matrix
+    # it applies past the prefix under (k, h, station); later epochs lift
+    # them onto their tape in place of rebuilding them.
+    fold = memo is not None and not x_node.needs_grad
+    tape = x_node.tape
+
+    def kept(key, build, *args):
+        if not fold:
+            return build(*args)
+        if key in memo:
+            return tape.constant(memo[key])
+        node = build(*args)
+        if isinstance(node, Node) and not node.needs_grad:
+            memo[key] = node.value
+        return node
+
+    def interdep(tag, operand):
         spec = getattr(head, tag)
         if spec is None:
             return None
-        pname = "l%d.h%d.%s" % (k, h, tag)
-        pnode = param_nodes.get(pname)
+        pnode = param_nodes.get("l%d.h%d.%s" % (k, h, tag))
+        if operand.needs_grad:  # past the prefix
+            return kept((k, h, tag), itd.build_node, spec, x_station, pnode)
         return itd.build_node(spec, x_station, pnode)
 
-    a_ap = interdep("attr_prior")
-    if a_ap is not None:
-        cur = cur.matmul(a_ap)
-    cur = tf.expand_node(cur, head.expansion)
-    cur = _apply_processor(cur, head.processors.get("expansion"))
-    a_post = interdep("attr_post")
-    if a_post is not None:
-        cur = cur.matmul(a_post)
-    a_ip = interdep("inst_prior")
-    if a_ip is not None:
-        cur = _instance_apply(a_ip, cur)
-    if trace is not None and a_ip is not None:
-        trace.setdefault("instance_matrices", []).append(
-            ("l%d.h%d.inst_prior" % (k, h),
-             a_ip.to_dense() if isinstance(a_ip, SparseCoo) else a_ip.value))
+    proc = check_processor(head.processors.get("input"))
+    x_station = x_node if proc is None else kept((k, h, "input"), proc, x_node)
+    done, cur = 0, x_station
+    if fold and (k, h) in memo:
+        done, value = memo[(k, h)]
+        cur = tape.constant(value)
+    for i, tag in enumerate(_PREFIX_STATIONS[done:], done + 1):
+        if tag == "expansion":
+            cur = tf.expand_node(cur, head.expansion)
+            cur = _apply_processor(cur, head.processors.get("expansion"))
+        else:
+            a = interdep(tag, cur)
+            if a is None:
+                continue
+            if tag != "inst_prior":
+                cur = cur.matmul(a)
+            else:
+                if trace is not None:
+                    trace.setdefault("instance_matrices", []).append(
+                        ("l%d.h%d.inst_prior" % (k, h),
+                         a.to_dense() if isinstance(a, SparseCoo) else a.value))
+                cur = _instance_apply(a, cur)
+        if fold and not cur.needs_grad and cur is not x_station:
+            memo[(k, h)] = (i, cur.value)
 
     outs = [rc.reconciled_product(cur, head.reconciliation,
                                   param_nodes.get("l%d.h%d.c%d.psi" % (k, h, c)))
@@ -211,7 +256,7 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
     else:
         cf_param = param_nodes.get("l%d.h%d.cfuse" % (k, h))
         out = fu.fuse_nodes(outs, head.channel_fusion, cf_param)
-    a_iq = interdep("inst_post")
+    a_iq = interdep("inst_post", out)
     if a_iq is not None:
         out = _instance_apply(a_iq, out)
 
@@ -227,8 +272,8 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
     return _apply_processor(out, head.processors.get("output"))
 
 
-def layer_forward(x_node, layer, param_nodes, k=0, trace=None):
-    outs = [head_forward(x_node, head, param_nodes, k, h, trace)
+def layer_forward(x_node, layer, param_nodes, k=0, trace=None, memo=None):
+    outs = [head_forward(x_node, head, param_nodes, k, h, trace, memo)
             for h, head in enumerate(layer.heads)]
     if len(outs) == 1:
         return outs[0]
@@ -236,12 +281,14 @@ def layer_forward(x_node, layer, param_nodes, k=0, trace=None):
     return fu.fuse_nodes(outs, layer.head_fusion, hf_param)
 
 
-def model_forward_nodes(x, model, store, trace=None):
+def model_forward_nodes(x, model, store, trace=None, memo=None):
+    """Output node, tape and parameter nodes of one forward. `train` passes
+    one memo dict for all its epochs (see `head_forward`)."""
     tape = Tape()
     param_nodes = make_param_nodes(tape, store)
     cur = tape.constant(np.asarray(x, dtype=float))
     for k, layer in enumerate(model.layers):
-        cur = layer_forward(cur, layer, param_nodes, k, trace)
+        cur = layer_forward(cur, layer, param_nodes, k, trace, memo)
     return cur, tape, param_nodes
 
 
@@ -264,15 +311,26 @@ def _flatten_grads(store, grads):
 
 
 class History:
+    """One row per epoch: the loss and metric of the parameters the epoch
+    started from, the 2-norm of their gradient, the 2-norm of the parameters
+    after its update, and the wall time of the whole step."""
+
     def __init__(self):
         self.epochs = []
 
-    def append(self, epoch, loss, metric):
-        self.epochs.append({"epoch": epoch, "loss": loss, "metric": metric})
+    def append(self, epoch, loss, metric, step_seconds, grad_norm, param_norm):
+        self.epochs.append({"epoch": epoch, "loss": loss, "metric": metric,
+                            "step_seconds": step_seconds, "grad_norm": grad_norm,
+                            "param_norm": param_norm})
 
 
 def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=None):
-    """Full-batch gradient training; deterministic given the seed."""
+    """Full-batch gradient training; deterministic given the seed.
+
+    The input is the same in every epoch, so each layer-0 head's
+    gradient-free prefix (and any constant relation matrix it applies past
+    that prefix) is built in the first epoch and lifted as a constant in
+    the later ones; the memo holding them lives as long as this call."""
     opt = dict(optimizer or {})
     kind = opt.get("kind", "sgd")
     lr = float(opt.get("lr", 0.01))
@@ -289,8 +347,10 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
     m1 = np.zeros_like(store.vector)
     m2 = np.zeros_like(store.vector)
     history = History()
+    memo = {}  # epoch-invariant values of this call's forwards (head_forward)
     for epoch in range(epochs):
-        out, tape, _ = model_forward_nodes(x, model, store)
+        start = time.perf_counter()
+        out, tape, _ = model_forward_nodes(x, model, store, memo=memo)
         if loss == "mse":
             target = tape.constant(np.asarray(y, dtype=float))
             diff = out - target
@@ -302,7 +362,6 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
         lv = float(np.asarray(loss_node.value).reshape(-1)[0])
         if not np.isfinite(lv):
             raise FloatingPointError("non-finite loss at epoch %d" % epoch)
-        history.append(epoch, lv, metric)
         grads = tape.backward(loss_node)
         if epoch == 0:
             missing = [name for name in store.slots if name not in grads]
@@ -324,6 +383,8 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
             m1h = m1 / (1 - b1 ** t)
             m2h = m2 / (1 - b2 ** t)
             store.vector = store.vector - lr * m1h / (np.sqrt(m2h) + eps)
+        history.append(epoch, lv, metric, time.perf_counter() - start,
+                       float(np.linalg.norm(g)), float(np.linalg.norm(store.vector)))
     return history, store
 
 
