@@ -124,12 +124,11 @@ def _patch_case(prior, x, kernels, fusion, ref, tol):
     v = prior.variant
     grid, shape, packing = v.grid, v.shape, v.packing
     p = gg.patch_size(shape)
-    p_count = len(gg.packing_centers(grid, packing, shape))
+    n = len(gg.packing_centers(grid, packing, shape))
     head = md.HeadConfig(
-        m=grid.size, n=p_count,
+        m=grid.size, n=n,
         expansion=tf.ExpansionSpec("identity"),
-        reconciliation=rc.ReconciliationSpec("duplicated_padding", n=p_count,
-                                             D=p * p_count, p=p, p_count=p_count),
+        reconciliation=rc.ReconciliationSpec("duplicated_padding", n=n, D=p * n),
         channels=len(kernels), channel_fusion=fusion, attr_prior=prior)
     store = md.ParameterStore()
     for c, kernel in enumerate(kernels):

@@ -221,7 +221,7 @@ _EXPANSION_FIELDS = (("family", str, "identity"), ("d", int, 1), ("alpha", float
                      ("a", float, 2.0), ("b", float, 1.0), ("order", int, 1))
 _RECONCILIATION_FIELDS = (
     ("method", str, "identity"), ("n", int, _REQUIRED), ("D", int, _REQUIRED),
-    *((key, int, 0) for key in ("rank", "mid", "input_len", "p", "p_count", "seed")))
+    *((key, int, 0) for key in ("rank", "mid", "input_len", "seed")))
 _INTERDEP_FIELDS = (("variant", str, "identity"), ("post_norm", str, "none"),
                     ("norm_r", int, 1))
 _INTERDEP_VARIANTS = {"identity": (itd.Identity, ("dim",)),

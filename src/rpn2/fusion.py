@@ -79,10 +79,10 @@ def fuse_nodes(nodes, spec, param_node=None):
             raise ValueError("need one weight per input")
         return functools.reduce(operator.add, [n * w for n, w in zip(nodes, weights)])
     if spec.strategy == "metric":
-        # value-only: no gradient flows through a metric fusion
         if spec.metric not in _METRICS:
             raise ValueError("unknown fusion metric %r" % spec.metric)
-        return tape.constant(_METRICS[spec.metric](np.stack([n.value for n in nodes])))
+        return tape.value_only(_METRICS[spec.metric](np.stack([n.value for n in nodes])),
+                               nodes, "metric fusion")
     if spec.strategy == "concat_linear":
         cat = concat_nodes(nodes)
         if spec.low_rank:

@@ -27,10 +27,11 @@ input and fold nothing; `model_forward` and `diagnostics` fold nothing. A
 sparse matrix, such as a grid matrix, stays a `SparseCoo` at its station:
 `Node.matmul` applies it with `SparseCoo.rmatmul` and back-propagates
 through its transpose, so the head never densifies it (a post_norm,
-a `Hybrid` child and the diagnostics' SVD still do). `metric` fusion is
-value-only: nothing upstream of it gets a gradient, and `train` rejects a
-config whose parameters would never learn. A forward's tape is released
-once it is done with (`model_forward`, `Tape.backward`).
+a `Hybrid` child and the diagnostics' SVD still do). `metric` fusion and
+the wavelet expansion are value-only, and `train` rejects a config whose
+parameters would never learn, or learn from a gradient truncated there.
+A forward's tape is released once it is done with (`model_forward`,
+`Tape.backward`).
 """
 
 import time
@@ -60,8 +61,7 @@ class HeadConfig:
     inst_post: object = None
     channel_fusion: fu.FusionSpec = field(default_factory=lambda: fu.FusionSpec("sum"))
     processors: dict = field(default_factory=dict)  # PROCESSOR_STATIONS -> tag
-    # (p_count, p) of a duplicated padding head; informational only, the
-    # blockwise product reads both from the reconciliation spec
+    # read nowhere: kept only because the benchmark's cnn_model passes it
     dup_blocks: tuple = ()
 
 
@@ -115,10 +115,12 @@ def _slot_walk(model):
             pre = "l%d.h%d." % (k, h)
             recon = head.reconciliation
             # fusions are sized from n, so n must be the width recon gives
-            width = recon.p_count if recon.method == "duplicated_padding" else recon.n
-            if head.n != width:
+            if head.n != recon.n:
                 raise ValueError("head l%d.h%d declares n = %d, but its %s reconciliation "
-                                 "gives width %d" % (k, h, head.n, recon.method, width))
+                                 "gives width %d" % (k, h, head.n, recon.method, recon.n))
+            if head.channels < 1:
+                raise ValueError("head l%d.h%d has %d channels; it needs at least one"
+                                 % (k, h, head.channels))
             scale = 1.0 / np.sqrt(max(1, head.m))
             for tag in _INTERDEP_TAGS:
                 spec = getattr(head, tag)
@@ -368,6 +370,10 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
             if missing:
                 raise ValueError("no gradient reaches %s; the config cannot learn them"
                                  % ", ".join(missing))
+            if tape.cuts:
+                raise ValueError("no gradient passes a value-only %s, yet parameters "
+                                 "upstream of it need one; training would follow a "
+                                 "truncated gradient" % " or ".join(sorted(set(tape.cuts))))
         g = _flatten_grads(store, grads)
         if kind == "sgd":
             mom = float(opt.get("momentum", 0.0))

@@ -543,27 +543,6 @@ def concat_nodes(nodes):
     return Node(nodes[0].tape, out, vjps)
 
 
-def blocks_dot(a, w, block_count, block_size):
-    """Per-row blockwise inner product: rows of `a` are split into
-    `block_count` blocks of `block_size`, each dotted with vector `w`.
-
-    Equivalent to multiplying by the block-diagonal duplicated-padding matrix
-    without materializing it.
-    """
-    b = a.value.shape[0]
-    a3 = a.value.reshape(b, block_count, block_size)
-    wv = w.value.reshape(block_size)
-    out = a3 @ wv
-
-    def vjp_a(g):
-        return (g[:, :, None] * wv[None, None, :]).reshape(b, block_count * block_size)
-
-    def vjp_w(g):
-        return np.einsum("bj,bjk->k", g, a3).reshape(w.value.shape)
-
-    return Node(a.tape, out, [(a, vjp_a), (w, vjp_w)])
-
-
 def _class_labels(labels, rows, classes):
     """labels as int64 class indices, one per row, each in [0, classes)."""
     y = np.asarray(labels)
@@ -619,6 +598,7 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
+        self.cuts = []  # ops that dropped a gradient (`value_only`); kept on release
 
     def __enter__(self):
         return self
@@ -634,6 +614,13 @@ class Tape:
 
     def parameter(self, value, name=None):
         return Node(self, value, [], is_param=True, name=name)
+
+    def value_only(self, value, inputs, op):
+        """`value`, computed by `op` from the input nodes, as a constant; `op`
+        is noted in `cuts` when an input needs the gradient it drops."""
+        if any(n.needs_grad for n in inputs):
+            self.cuts.append(op)
+        return self.constant(value)
 
     def lift(self, x):
         return x if isinstance(x, Node) else self.constant(x)

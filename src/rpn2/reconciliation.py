@@ -12,12 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numeric_core import Prng, Tape, blocks_dot
+from .numeric_core import Prng, Tape
 
 
 @dataclass(frozen=True)
 class ReconciliationSpec:
-    """Frozen, because its random factors are kept on it (`frozen_randoms`)."""
+    """Frozen, because its random factors are kept on it (`frozen_randoms`).
+    A duplicated padding is n blocks of D / n: psi repeats one vector of
+    D / n entries on its n diagonal blocks."""
 
     method: str  # identity | constant_eye | duplicated_padding | lorr | vera | hypernet_lowrank
     n: int
@@ -25,9 +27,17 @@ class ReconciliationSpec:
     rank: int = 0
     mid: int = 0          # hypernet hidden width d
     input_len: int = 0    # hypernet declared |w|
-    p: int = 0            # duplicated_padding block length
-    p_count: int = 0
+    p: int = 0            # duplicated_padding: 0 or D / n
+    p_count: int = 0      # duplicated_padding: 0 or n
     seed: int = 0
+
+    def __post_init__(self):
+        if self.method == "duplicated_padding" and (
+                self.n < 1 or self.D % self.n or self.p not in (0, self.D // self.n)
+                or self.p_count not in (0, self.n)):
+            raise ValueError("duplicated_padding needs D = %d to be a multiple of n = %d, "
+                             "and p = %d and p_count = %d to be 0 or D / n and n"
+                             % (self.D, self.n, self.p, self.p_count))
 
 
 def param_length(spec):
@@ -36,7 +46,7 @@ def param_length(spec):
     if spec.method == "constant_eye":
         return 0
     if spec.method == "duplicated_padding":
-        return spec.p
+        return spec.D // spec.n
     if spec.method == "lorr":
         return (spec.n + spec.D) * spec.rank
     if spec.method == "vera":
@@ -84,13 +94,6 @@ def reconcile(spec, w=None):
     """n x D coefficient matrix from the parameter vector; evaluates
     reconcile_node on a gradient-free tape."""
     w = _check_length(spec, w if w is not None else np.zeros(0))
-    if spec.method == "duplicated_padding":
-        # dense block layout, the reference for numeric_core.blocks_dot:
-        # row j carries w at columns j*p .. (j+1)*p
-        out = np.zeros((spec.p_count, spec.p * spec.p_count))
-        for j in range(spec.p_count):
-            out[j, j * spec.p: (j + 1) * spec.p] = w
-        return out
     with Tape() as tape:
         return reconcile_node(spec, tape.constant(w)).value
 
@@ -132,20 +135,22 @@ def reconcile_node(spec, w_node):
         out = hidden.matmul(t.constant(fr.S)).matmul(t.constant(fr.T.T))
         return out.reshape((spec.n, spec.D))
     if spec.method == "duplicated_padding":
-        raise ValueError("duplicated_padding runs blockwise in reconciled_product")
+        # row j carries w at columns j*p .. (j+1)*p, p = D / n
+        eye = t.constant(np.eye(spec.n)[:, :, None])
+        return (eye * w_node.reshape((1, 1, -1))).reshape((spec.n, spec.D))
     raise ValueError("unknown reconciliation method %r" % spec.method)
 
 
 def reconciled_product(x, spec, w_node):
-    """One channel's x @ psi.T as a tape node. Duplicated padding runs
-    blockwise through numeric_core.blocks_dot; every other method
+    """One channel's x @ psi.T as a tape node. Duplicated padding dots each
+    of the n blocks of x with w, without forming psi; every other method
     fabricates psi with reconcile_node. w_node is None for constant_eye."""
+    b, width = x.value.shape
+    if width != spec.D:
+        raise ValueError("station reconciliation: expanded width %d != declared D %d"
+                         % (width, spec.D))
     if spec.method == "duplicated_padding":
-        return blocks_dot(x, w_node, spec.p_count, spec.p)
+        return x.reshape((b * spec.n, -1)).matmul(w_node.reshape((-1, 1))).reshape((b, spec.n))
     if w_node is None:
         w_node = x.tape.constant(np.zeros(0))
-    psi = reconcile_node(spec, w_node)
-    if x.value.shape[1] != psi.value.shape[1]:
-        raise ValueError("station reconciliation: expanded width %d != declared D %d"
-                         % (x.value.shape[1], psi.value.shape[1]))
-    return x.matmul(psi.transpose())
+    return x.matmul(reconcile_node(spec, w_node).transpose())

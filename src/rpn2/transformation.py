@@ -176,11 +176,12 @@ def expand_wavelet(x, spec):
 def expand_node(x, spec):
     """Expansion of a b x m tape node. Polynomial families run their
     recurrence elementwise on the tape (degree-major blocks); the wavelet
-    expansion is a constant, so it is only supported at the network input."""
+    expansion is value-only (`Tape.value_only`), so `train` accepts it only
+    where its input needs no gradient."""
     if spec.family == "identity":
         return x
     if spec.family == "wavelet":
-        return x.tape.constant(expand_wavelet(x.value, spec))
+        return x.tape.value_only(expand_wavelet(x.value, spec), [x], "wavelet expansion")
     if x.value.ndim != 2:
         raise ValueError("expansion needs a b x m batch")
     return concat_nodes(polynomial_columns(spec.family, x, spec.d, spec.alpha))

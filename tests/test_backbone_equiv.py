@@ -5,7 +5,8 @@ from rpn2 import backbone_equiv as be
 from rpn2 import grid_geometry as gg
 from rpn2 import interdependence as itd
 from rpn2 import model as md
-from rpn2.numeric_core import Prng, SparseCoo, as_dense
+from rpn2 import reconciliation as rc
+from rpn2.numeric_core import Prng, SparseCoo, Tape, as_dense
 
 
 # ---------------------------------------------------------------------------
@@ -102,15 +103,13 @@ def test_cnn_interdependence_matrix_is_padding_grid():
     assert np.all(np.count_nonzero(a, axis=0) <= 1)
     assert a.shape == (192, 27 * 192)
     # block path equals the explicit block-diagonal matrix at small size
-    from rpn2 import reconciliation as rc
-    from rpn2.numeric_core import Tape, blocks_dot
     rng = np.random.default_rng(6)
-    small = rc.ReconciliationSpec("duplicated_padding", n=3, D=6, p=2, p_count=3)
+    small = rc.ReconciliationSpec("duplicated_padding", n=3, D=6)
     w = rng.standard_normal(2)
     expanded = rng.standard_normal((4, 6))
     psi = rc.reconcile(small, w)
     tape = Tape()
-    flex = blocks_dot(tape.constant(expanded), tape.constant(w), 3, 2)
+    flex = rc.reconciled_product(tape.constant(expanded), small, tape.constant(w))
     assert np.max(np.abs(flex.value - expanded @ psi.T)) < 1e-14
 
 
@@ -265,7 +264,7 @@ def test_pool_head_is_the_cnn_head_with_one_hot_channels():
     head = case["model"].layers[0].heads[0]
     assert head.attr_prior.variant.mode == "padding"
     assert head.reconciliation.method == "duplicated_padding"
-    assert head.channels == head.reconciliation.p == 4
+    assert head.channels == rc.param_length(head.reconciliation) == 4
     assert head.channel_fusion.strategy == "metric"
     kernels = [case["store"].get("l0.h0.c%d.psi" % c) for c in range(head.channels)]
     assert np.array_equal(np.stack(kernels), np.eye(4))

@@ -213,3 +213,29 @@ def test_tiny_center_distance_exits_at_once(tmp_path):
     tiny = (tmp_path / "g.mtx").read_bytes()
     assert _run(tmp_path, "build-matrix", {"matrix": dict(_GRID, packing={"d_h": 1.0})}) == 0
     assert (tmp_path / "out").read_bytes() == tiny
+
+
+# two 2-wide blocks of a degree-2 expansion of the two moons features
+_PADDING_HEAD = {"m": 2, "n": 2, "expansion": {"family": "hermite", "d": 2},
+                 "reconciliation": {"method": "duplicated_padding", "n": 2, "D": 4}}
+
+
+def test_duplicated_padding_head_is_sized_by_n_and_D(tmp_path, capsys):
+    config = {"model": {"layers": [{"heads": [_PADDING_HEAD]}]}, "data": _MOONS,
+              "train": {"epochs": 3}}
+    assert _run(tmp_path, "train", config) == 0
+    slots = json.loads((tmp_path / "out.checkpoint.json").read_text())["slots"]
+    assert slots["l0.h0.c0.psi"] == [0, 2]
+    for key in ("p", "p_count"):
+        capsys.readouterr()
+        head = _with(_PADDING_HEAD, ("reconciliation", key), 2)
+        assert _run(tmp_path, "train", _with(config, ("model", "layers", 0, "heads"),
+                                             [head])) == 2
+        assert "unknown key '%s' at reconciliation" % key in capsys.readouterr().err
+
+
+def test_head_without_channels_exits_4_naming_it(tmp_path, capsys):
+    config = {"model": {"layers": [{"heads": [_HEAD, _head(channels=0)]}]},
+              "data": _MOONS, "train": {"epochs": 1}}
+    assert _run(tmp_path, "train", config) == 4
+    assert "head l0.h1 has 0 channels" in capsys.readouterr().err

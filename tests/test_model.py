@@ -331,11 +331,77 @@ def test_init_store_rejects_head_width_its_reconciliation_does_not_give(recon, n
         md.init_store(model, 0)
 
 
-def test_duplicated_padding_head_width_is_its_block_count():
+@pytest.mark.parametrize("sizes,match", [
+    # ran silently at width p_count = 2 on a 6-wide input
+    (dict(n=5, D=7, p=3, p_count=2), "D = 7 to be a multiple of n = 5"),
+    (dict(n=5, D=4, p=2, p_count=2), "D = 4 to be a multiple of n = 5"),
+    (dict(n=0, D=4), "n = 0"),
+    (dict(n=2, D=4, p=1), "p = 1 and p_count = 0 to be 0 or D / n and n"),
+    (dict(n=2, D=4, p_count=4), "p = 0 and p_count = 4"),
+])
+def test_duplicated_padding_rejects_sizes_other_than_n_blocks_of_D_over_n(sizes, match):
+    with pytest.raises(ValueError, match=match):
+        rc.ReconciliationSpec("duplicated_padding", **sizes)
+
+
+@pytest.mark.parametrize("copies", [{}, dict(p=2), dict(p_count=2), dict(p=2, p_count=2)])
+def test_duplicated_padding_head_width_is_its_block_count(copies):
     head = md.HeadConfig(m=4, n=2, expansion=tf.ExpansionSpec("identity"),
                          reconciliation=rc.ReconciliationSpec(
-                             "duplicated_padding", n=5, D=4, p=2, p_count=2))
-    assert md.init_store(_single(head), 0).slots["l0.h0.c0.psi"][1] == 2
+                             "duplicated_padding", n=2, D=4, **copies))
+    store = md.init_store(_single(head), 0)
+    assert store.slots["l0.h0.c0.psi"][1] == 2
+    assert md.model_forward(np.ones((3, 4)), _single(head), store).shape == (3, 2)
+
+
+def test_init_store_names_a_head_without_channels():
+    head = dict(m=2, n=2, expansion=tf.ExpansionSpec("identity"),
+                reconciliation=rc.ReconciliationSpec("identity", n=2, D=2))
+    model = md.ModelConfig([md.LayerConfig([md.HeadConfig(**head),
+                                            md.HeadConfig(channels=0, **head)])])
+    with pytest.raises(ValueError, match=r"head l0\.h1 has 0 channels"):
+        md.init_store(model, 0)
+
+
+def _value_only_beside_a_gradient_path(kind):
+    """Layer 1 sums a head that runs a value-only op on layer 0's output with
+    an identity head, so l0.h0.c0.psi gets a gradient only through the
+    second head."""
+    def head(expansion, method="identity", **extra):
+        return md.HeadConfig(m=2, n=2, expansion=expansion,
+                             reconciliation=rc.ReconciliationSpec(method, n=2, D=2),
+                             **extra)
+    identity = tf.ExpansionSpec("identity")
+    cut = (head(tf.ExpansionSpec("wavelet", wavelet="ricker")) if kind == "wavelet" else
+           head(identity, "constant_eye", channels=2, channel_fusion=fu.FusionSpec("metric")))
+    return md.ModelConfig([md.LayerConfig([head(identity)]),
+                           md.LayerConfig([cut, head(identity)], fu.FusionSpec("sum"))])
+
+
+@pytest.mark.parametrize("kind,op", [("wavelet", "wavelet expansion"),
+                                     ("metric", "metric fusion")])
+def test_train_rejects_a_gradient_truncated_by_a_value_only_op(kind, op):
+    model = _value_only_beside_a_gradient_path(kind)
+    x = np.random.default_rng(0).standard_normal((5, 2))
+    store = md.init_store(model, 0)
+    before = store.vector.copy()
+    # the tape gradient of l0.h0.c0.psi misses the path through the op
+    out, tape, _ = md.model_forward_nodes(x, model, store)
+    grad = tape.backward(out.sum())["l0.h0.c0.psi"]
+    fd = []
+    for i in range(store.slots["l0.h0.c0.psi"][1]):
+        sums = []
+        for step in (1e-6, -1e-6):
+            store.vector = before.copy()
+            store.vector[i] += step
+            sums.append(md.model_forward(x, model, store).sum())
+        fd.append((sums[0] - sums[1]) / 2e-6)
+    store.vector = before.copy()
+    assert np.max(np.abs(np.asarray(fd) - grad)) > 1e-3
+    with pytest.raises(ValueError, match="value-only %s" % op):
+        md.train(model, x, np.zeros((5, 2)), epochs=2, store=store)
+    assert np.array_equal(store.vector, before)
+    assert md.model_forward(x, model, store).shape == (5, 2)
 
 
 @pytest.mark.parametrize("fusion", [fu.FusionSpec("weighted_sum"),

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rpn2 import reconciliation as rc
 from rpn2.numeric_core import (Node, Prng, SingularMatrixError, SparseCoo,
-                               Tape, blocks_dot, concat_nodes,
+                               Tape, concat_nodes,
                                cross_entropy_node, l1_normalize_node,
                                matrix_exp, norm, scaled_softmax, softmax_node,
                                solve)
@@ -269,7 +270,11 @@ def test_grad_l1_normalize_node():
 def test_grad_concat_blocks_cross_entropy():
     _fd_check(lambda t, n: (concat_nodes([n[0], n[1]])
                             .matmul(n[2])).sum(), [(3, 2), (3, 3), (5, 2)])
-    _fd_check(lambda t, n: blocks_dot(n[0], n[1], 3, 4).sum(), [(2, 12), (4,)])
+    blocks = rc.ReconciliationSpec("duplicated_padding", n=3, D=12)
+    _fd_check(lambda t, n: rc.reconciled_product(n[0], blocks, n[1]).sum(), [(2, 12), (4,)])
+    # the block layout reconcile_node lays out on the tape
+    _fd_check(lambda t, n: n[0].matmul(rc.reconcile_node(blocks, n[1]).transpose()).sum(),
+              [(2, 12), (4,)], seed=1)
     labels = np.array([0, 2, 1])
     _fd_check(lambda t, n: cross_entropy_node(n[0], labels), [(3, 3)], seed=8)
 
@@ -282,15 +287,17 @@ def test_grad_take():
               seed=6)
 
 
-def test_blocks_dot_equals_block_matrix():
+def test_duplicated_padding_product_equals_block_matrix():
     rng = np.random.default_rng(4)
     a = rng.standard_normal((3, 8))
     w = rng.standard_normal(4)
     tape = Tape()
-    out = blocks_dot(tape.constant(a), tape.constant(w), 2, 4)
+    spec = rc.ReconciliationSpec("duplicated_padding", n=2, D=8)
+    out = rc.reconciled_product(tape.constant(a), spec, tape.constant(w))
     psi = np.zeros((2, 8))
     psi[0, :4] = w
     psi[1, 4:] = w
+    assert np.array_equal(rc.reconcile(spec, w), psi)
     assert np.allclose(out.value, a @ psi.T, atol=1e-14)
 
 

@@ -3,11 +3,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from rpn2 import backbone_equiv as be
 from rpn2 import fusion as fu
+from rpn2 import interdependence as itd
 from rpn2 import model as md
 from rpn2 import reconciliation as rc
 from rpn2 import transformation as tf
-from rpn2.numeric_core import Tape
+from rpn2.numeric_core import Prng, Tape
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +63,47 @@ def test_duplicated_padding_block_structure():
     # each block row carries one copy of w, so row sums all equal sum(w)
     assert np.allclose(psi.sum(axis=1), w.sum())
     assert np.count_nonzero(psi) == 6
+
+
+def _blocks_dot(a, w, n):
+    """The blockwise product duplicated padding used to run as its own tape
+    op, kept as the oracle: each row of `a` split into n blocks, each dotted
+    with w."""
+    return a.reshape(a.shape[0], n, -1) @ w
+
+
+def _patch_products():
+    """(expanded input, kernel, block count) at the benchmark's grid_cnn
+    shape and of every channel of the cnn and pool equivalence cases."""
+    prng = Prng(11)
+    yield prng.normals((32, 192 * 27)), prng.normals((27,)), 192
+    for build in (be.build_cnn_case, be.build_pool_case):
+        case = build(Prng(5))
+        head = case["model"].layers[0].heads[0]
+        expanded = itd.build_matrix(head.attr_prior).rmatmul(case["x"])
+        for c in range(head.channels):
+            yield expanded, case["store"].get("l0.h0.c%d.psi" % c), head.n
+
+
+def test_duplicated_padding_product_is_the_blockwise_oracle_bit_for_bit():
+    for a, w, n in _patch_products():
+        spec = rc.ReconciliationSpec("duplicated_padding", n=n, D=a.shape[1])
+        with Tape() as tape:
+            got = rc.reconciled_product(tape.constant(a), spec, tape.constant(w)).value
+        assert got.tobytes() == _blocks_dot(a, w, n).tobytes()
+
+
+@pytest.mark.parametrize("spec", [
+    rc.ReconciliationSpec("identity", n=3, D=6),
+    rc.ReconciliationSpec("constant_eye", n=3, D=6),
+    rc.ReconciliationSpec("duplicated_padding", n=3, D=6),
+    rc.ReconciliationSpec("lorr", n=3, D=6, rank=1),
+], ids=lambda spec: spec.method)
+def test_reconciled_product_checks_the_width_for_every_method(spec):
+    with Tape() as tape:
+        w = tape.constant(np.ones(rc.param_length(spec))) if rc.param_length(spec) else None
+        with pytest.raises(ValueError, match="expanded width 8 != declared D 6"):
+            rc.reconciled_product(tape.constant(np.ones((2, 8))), spec, w)
 
 
 def test_lorr_dense_oracle():

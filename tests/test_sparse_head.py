@@ -1,6 +1,10 @@
 """Sparse grid matrices through the head: no densification on the model path,
 the sparse product's gradient, and its error on a batch of the wrong width."""
 
+import dataclasses
+import importlib.util
+import os
+
 import numpy as np
 import pytest
 
@@ -28,6 +32,31 @@ def _cnn_model(grid, shape, packing):
             itd.GridStructural(grid, shape, packing, "padding")),
         dup_blocks=(p_count, p))
     return md.ModelConfig([md.LayerConfig([head])]), p
+
+
+def test_benchmark_cnn_model_forwards_as_the_head_sized_by_n_and_D():
+    # bench/workloads.py is frozen with the p, p_count and dup_blocks copies;
+    # they must stay accepted and change nothing
+    path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "bench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    wl = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(wl)
+    model, p = wl.cnn_model()
+    head = model.layers[0].heads[0]
+    recon = head.reconciliation
+    assert (recon.p, recon.p_count, head.dup_blocks) == (p, recon.n, (recon.n, p))
+    plain = dataclasses.replace(head, dup_blocks=(), reconciliation=rc.ReconciliationSpec(
+        "duplicated_padding", n=recon.n, D=recon.D))
+    prng = Prng(7)
+    x = prng.normals((wl.CNN_BATCH, wl.GRID.size))
+    store = md.ParameterStore()
+    store.add_slot("l0.h0.c0.psi", (p,), prng.normals((p,)))
+    got = md.model_forward(x, model, store)
+    assert got.tobytes() == md.model_forward(x, md.ModelConfig(
+        [md.LayerConfig([plain])]), store).tobytes()
+    assert md.init_store(model, 3).vector.tobytes() == \
+        md.init_store(md.ModelConfig([md.LayerConfig([plain])]), 3).vector.tobytes()
 
 
 def _forbid_densifying(monkeypatch):
