@@ -23,7 +23,9 @@ instance prior, up to the first station with a parameter) and any
 parameter-free matrix the head applies past that prefix (a kernel at
 `inst_post`) once, in the first epoch, and lifts the stored values as
 constants in the later ones. Layers past the first read a gradient-carrying
-input and fold nothing; `model_forward` and `diagnostics` fold nothing. A
+input and fold nothing; `model_forward` and `diagnostics` fold nothing.
+`train` also writes each epoch's gradient-carrying dense forward values
+into the arrays of the epoch before (one `numeric_core.Arena` per call). A
 sparse matrix, such as a grid matrix, stays a `SparseCoo` at its station:
 `Node.matmul` applies it with `SparseCoo.rmatmul` and back-propagates
 through its transpose, so the head never densifies it (a post_norm,
@@ -43,7 +45,7 @@ from . import fusion as fu
 from . import interdependence as itd
 from . import reconciliation as rc
 from . import transformation as tf
-from .numeric_core import (Node, Prng, SparseCoo, Tape, cross_entropy_node, norm,
+from .numeric_core import (Arena, Node, Prng, SparseCoo, Tape, cross_entropy_node, norm,
                            softmax_node)
 
 
@@ -283,10 +285,10 @@ def layer_forward(x_node, layer, param_nodes, k=0, trace=None, memo=None):
     return fu.fuse_nodes(outs, layer.head_fusion, hf_param)
 
 
-def model_forward_nodes(x, model, store, trace=None, memo=None):
+def model_forward_nodes(x, model, store, trace=None, memo=None, arena=None):
     """Output node, tape and parameter nodes of one forward. `train` passes
-    one memo dict for all its epochs (see `head_forward`)."""
-    tape = Tape()
+    one memo dict (see `head_forward`) and one `Arena` for all its epochs."""
+    tape = Tape(arena)
     param_nodes = make_param_nodes(tape, store)
     cur = tape.constant(np.asarray(x, dtype=float))
     for k, layer in enumerate(model.layers):
@@ -329,10 +331,18 @@ class History:
 def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=None):
     """Full-batch gradient training; deterministic given the seed.
 
+    `loss="mse"` needs `y` in the output's shape; a 1-D `y` is read as one
+    column, and any other shape raises ValueError before the first update.
+
     The input is the same in every epoch, so each layer-0 head's
     gradient-free prefix (and any constant relation matrix it applies past
     that prefix) is built in the first epoch and lifted as a constant in
-    the later ones; the memo holding them lives as long as this call."""
+    the later ones. Every epoch also repeats the last one's ops, so the
+    forward values of the dense ops that carry a gradient are written into
+    arrays of an `Arena` that are handed out again in the next epoch,
+    instead of being freed to the system allocator and page-faulted back.
+    The memo and the arena live as long as this call, and nothing this call
+    returns is held by either."""
     opt = dict(optimizer or {})
     kind = opt.get("kind", "sgd")
     lr = float(opt.get("lr", 0.01))
@@ -345,17 +355,24 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
     if store is None:
         store = init_store(model, seed)
     x = np.asarray(x, dtype=float)
+    if loss == "mse":
+        y = np.asarray(y, dtype=float)
+        target = y[:, None] if y.ndim == 1 else y
     velocity = np.zeros_like(store.vector)
     m1 = np.zeros_like(store.vector)
     m2 = np.zeros_like(store.vector)
     history = History()
     memo = {}  # epoch-invariant values of this call's forwards (head_forward)
+    arena = Arena()
     for epoch in range(epochs):
         start = time.perf_counter()
-        out, tape, _ = model_forward_nodes(x, model, store, memo=memo)
+        arena.recycle()  # the last epoch's tape and gradients are spent
+        out, tape, _ = model_forward_nodes(x, model, store, memo=memo, arena=arena)
         if loss == "mse":
-            target = tape.constant(np.asarray(y, dtype=float))
-            diff = out - target
+            if target.shape != out.shape:
+                raise ValueError("mse needs a target of the output's shape %s, got %s"
+                                 % (out.shape, y.shape))
+            diff = out - tape.constant(target)
             loss_node = (diff * diff).mean()
             metric = float(np.asarray(loss_node.value).reshape(-1)[0])
         else:  # cross_entropy

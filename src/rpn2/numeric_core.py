@@ -404,13 +404,19 @@ class Node:
 
     def __add__(self, other):
         other = self.tape.lift(other)
-        return Node(self.tape, self.value + other.value,
+        a, b = self.value, other.value
+        arena = _arena(self, other) if a.shape == b.shape else None
+        return Node(self.tape, a + b if arena is None else
+                    np.add(a, b, out=arena.take(a.shape)),
                     [(self, lambda g: _unbroadcast(g, self.value.shape)),
                      (other, lambda g: _unbroadcast(g, other.value.shape))])
 
     def __sub__(self, other):
         other = self.tape.lift(other)
-        return Node(self.tape, self.value - other.value,
+        a, b = self.value, other.value
+        arena = _arena(self, other) if a.shape == b.shape else None
+        return Node(self.tape, a - b if arena is None else
+                    np.subtract(a, b, out=arena.take(a.shape)),
                     [(self, lambda g: _unbroadcast(g, self.value.shape)),
                      (other, lambda g: _unbroadcast(-g, other.value.shape))])
 
@@ -434,7 +440,10 @@ class Node:
 
     def scale(self, s):
         s = float(s)
-        return Node(self.tape, self.value * s, [(self, lambda g: g * s)])
+        a, arena = self.value, _arena(self)
+        return Node(self.tape, a * s if arena is None else
+                    np.multiply(a, s, out=arena.take(a.shape)),
+                    [(self, lambda g: g * s)])
 
     def take(self, lo, hi, shape=None):
         """Entries lo..hi of the flattened value, in `shape` when one is
@@ -457,11 +466,13 @@ class Node:
             return Node(self.tape, other.rmatmul(self.value),
                         [(self, lambda g: other.transpose().rmatmul(g))])
         other = self.tape.lift(other)
-        if self.value.shape[-1] != other.value.shape[0]:
+        a, b = self.value, other.value
+        if a.shape[-1] != b.shape[0]:
             raise ValueError("dimension mismatch in matmul")
-        return Node(self.tape, self.value @ other.value,
-                    [(self, lambda g: g @ other.value.T),
-                     (other, lambda g: self.value.T @ g)])
+        arena = _arena(self, other) if a.ndim == 2 == b.ndim else None
+        return Node(self.tape, a @ b if arena is None else
+                    np.matmul(a, b, out=arena.take((a.shape[0], b.shape[1]))),
+                    [(self, lambda g: g @ b.T), (other, lambda g: a.T @ g)])
 
     def transpose(self):
         return Node(self.tape, self.value.T, [(self, lambda g: g.T)])
@@ -493,6 +504,14 @@ class Node:
         n = self.value.size
         return Node(self.tape, np.array([[self.value.mean()]]),
                     [(self, lambda g: np.full(shape, float(np.sum(g)) / n))])
+
+
+def _arena(x, y=None):
+    """Where an op on nodes x (and y) writes its output: the tape's arena
+    when the output needs a gradient, else None (numpy allocates it)."""
+    if x.needs_grad or (y is not None and y.needs_grad):
+        return x.tape.arena
+    return None
 
 
 def _unbroadcast(g, shape):
@@ -586,6 +605,35 @@ def cross_entropy_node(logits, labels):
     return Node(logits.tape, np.array([[loss]]), [(logits, vjp)])
 
 
+class Arena:
+    """Output buffers handed out again from one training epoch to the next.
+
+    `take` gives a float64 array of a shape: one from the free list when it
+    holds one, else a new one. `recycle` puts every array handed out since
+    the last call on the free list, so it may be called only once nothing
+    reads them: `train` calls it as each epoch starts, when the last
+    epoch's tape, loss and gradients are spent. Epochs repeat the same ops
+    on the same shapes, so from the second epoch on the arena allocates
+    nothing: the arrays are neither freed to the system allocator at the
+    end of an epoch nor page-faulted back in during the next one.
+    """
+
+    def __init__(self):
+        self.free = {}  # shape -> arrays that may be handed out
+        self.lent = []  # arrays handed out since the last recycle
+
+    def take(self, shape):
+        stack = self.free.get(shape)
+        buf = stack.pop() if stack else np.empty(shape)
+        self.lent.append(buf)
+        return buf
+
+    def recycle(self):
+        for buf in self.lent:
+            self.free.setdefault(buf.shape, []).append(buf)
+        self.lent = []
+
+
 class Tape:
     """Record of one forward pass; single-owner, replayed once backwards.
 
@@ -594,11 +642,22 @@ class Tape:
     its nodes hold are freed by reference counting, without waiting for the
     cyclic collector: `backward` releases its tape, and a gradient-free
     evaluation runs as `with Tape() as tape:`.
+
+    A tape given an `Arena` writes the forward values of its dense ops
+    whose output needs a gradient (2-D `Node.matmul`, `+` and `-` of equal
+    shapes, and `scale`) into arena buffers, with numpy's `out=`. Those
+    values, and the views of them that `transpose` and `reshape` make, are
+    read only while the tape's epoch lasts: by later ops, by the VJPs in
+    `backward` and by the owner reading the output. A constant never takes
+    a buffer, so a value kept past the epoch (`train`'s memo) is never
+    overwritten, and neither is a gradient: `backward` allocates each one,
+    and the allocator hands back the chunks that spent gradients free.
     """
 
-    def __init__(self):
+    def __init__(self, arena=None):
         self.nodes = []
         self.cuts = []  # ops that dropped a gradient (`value_only`); kept on release
+        self.arena = arena
 
     def __enter__(self):
         return self

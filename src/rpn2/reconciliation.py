@@ -27,8 +27,8 @@ class ReconciliationSpec:
     rank: int = 0
     mid: int = 0          # hypernet hidden width d
     input_len: int = 0    # hypernet declared |w|
-    p: int = 0            # duplicated_padding: 0 or D / n
-    p_count: int = 0      # duplicated_padding: 0 or n
+    p: int = 0            # duplicated_padding: 0 or D / n; 0 for every other method
+    p_count: int = 0      # duplicated_padding: 0 or n; 0 for every other method
     seed: int = 0
 
     def __post_init__(self):
@@ -38,6 +38,10 @@ class ReconciliationSpec:
             raise ValueError("duplicated_padding needs D = %d to be a multiple of n = %d, "
                              "and p = %d and p_count = %d to be 0 or D / n and n"
                              % (self.D, self.n, self.p, self.p_count))
+        if self.method != "duplicated_padding" and (self.p or self.p_count):
+            raise ValueError("p = %d and p_count = %d size a duplicated padding only; "
+                             "a %s reconciliation needs both 0"
+                             % (self.p, self.p_count, self.method))
 
 
 def param_length(spec):

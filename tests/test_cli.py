@@ -289,3 +289,36 @@ def test_train_rejects_head_whose_n_its_reconciliation_does_not_give(tmp_path, c
     assert "epoch" not in captured.out
     assert not (tmp_path / "m.csv").exists()
     assert not (tmp_path / "c.json").exists()
+
+
+def _mse_moons_config(tmp_path, width):
+    return {"model": {"layers": [{"heads": [
+        {"m": 2, "n": width,
+         "reconciliation": {"method": "identity", "n": width, "D": 2}}]}]},
+        "data": {"kind": "two_moons", "n": 200, "noise": 0.1, "seed": 7},
+        "train": {"loss": "mse", "epochs": 50, "seed": 1,
+                  "optimizer": {"kind": "sgd", "lr": 0.1}},
+        "outputs": {"metrics": str(tmp_path / "m.csv"),
+                    "checkpoint": str(tmp_path / "c.json")}}
+
+
+def test_train_mse_on_labels_fits_the_width_1_output(tmp_path):
+    # the labels once broadcast into a (200, 200) loss
+    from rpn2 import model as md
+    cfg_obj = _mse_moons_config(tmp_path, 1)
+    assert _run(["train", "--config", _write(tmp_path / "t.json", cfg_obj)]) == 0
+    x, y = cli.generate_dataset(cfg_obj["data"])
+    history, store = md.train(cli.model_from_config(cfg_obj["model"]), x,
+                              y.astype(float)[:, None], loss="mse",
+                              optimizer={"kind": "sgd", "lr": 0.1}, epochs=50, seed=1)
+    ckpt = json.loads((tmp_path / "c.json").read_text())
+    assert ckpt["parameters"] == store.vector.tolist()
+    last = (tmp_path / "m.csv").read_text().strip().split("\n")[-1].split(",")
+    assert float(last[1]) == history.epochs[-1]["loss"]
+
+
+def test_train_mse_on_labels_rejects_a_width_2_output(tmp_path, capsys):
+    cfg = _write(tmp_path / "t.json", _mse_moons_config(tmp_path, 2))
+    assert _run(["train", "--config", cfg]) == 4
+    assert "output's shape (200, 2), got (200,)" in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()

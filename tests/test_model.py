@@ -414,3 +414,61 @@ def test_init_store_rejects_hybrid_whose_fusion_learns(fusion):
             (itd.Identity(3), itd.Parameterized(3, 3)), fusion)))
     with pytest.raises(ValueError, match="Hybrid learns no fusion parameters"):
         md.init_store(_single(head), 0)
+
+
+def _regression_head(n_out=1):
+    return _single(md.HeadConfig(m=2, n=n_out, expansion=tf.ExpansionSpec("identity"),
+                                 reconciliation=rc.ReconciliationSpec("identity",
+                                                                      n=n_out, D=2)))
+
+
+def test_mse_reads_a_1d_target_as_a_column():
+    # a 1-D target once broadcast against the (b, 1) output into a (b, b)
+    # loss: the loss stuck near 3.4 and the weights near 0
+    x = np.random.default_rng(0).standard_normal((50, 2))
+    y = 2 * x[:, 0]
+    runs = [md.train(_regression_head(), x, target, loss="mse",
+                     optimizer={"kind": "sgd", "lr": 0.1}, epochs=200, seed=0)
+            for target in (y, y[:, None])]
+    (hist, store), (hist_col, store_col) = runs
+    assert np.array_equal(store.vector, store_col.vector)
+    assert [e["loss"] for e in hist.epochs] == [e["loss"] for e in hist_col.epochs]
+    assert hist.epochs[-1]["loss"] < 1e-20
+    assert np.allclose(store.vector, [2.0, 0.0], atol=1e-10)
+
+
+@pytest.mark.parametrize("n_out, y_shape, message", [
+    (1, (50, 2), r"\(50, 1\), got \(50, 2\)"),
+    (1, (49,), r"\(50, 1\), got \(49,\)"),
+    (1, (1, 50), r"\(50, 1\), got \(1, 50\)"),
+    (2, (50,), r"\(50, 2\), got \(50,\)"),
+    (2, (50, 1), r"\(50, 2\), got \(50, 1\)"),
+])
+def test_mse_rejects_a_target_of_another_shape_before_the_first_update(n_out, y_shape,
+                                                                      message):
+    model = _regression_head(n_out)
+    store = md.init_store(model, 0)
+    before = store.vector
+    with pytest.raises(ValueError, match="mse needs a target of the output's shape " + message):
+        md.train(model, np.ones((50, 2)), np.zeros(y_shape), loss="mse", epochs=3, store=store)
+    assert store.vector is before
+
+
+def test_mse_trains_chain_series_targets_as_before():
+    # (b, m) targets go in as given: the loss is the mean of (out - y)^2,
+    # built on the tape as it was before 1-D targets were read as columns
+    x, y = ds.chain_series(6, 5, 3)
+    model = _single(_perceptron_head(6, 6))
+    hist, store = md.train(model, x, y, loss="mse",
+                           optimizer={"kind": "sgd", "lr": 0.01}, epochs=4, seed=3)
+    want = md.init_store(model, 3)
+    velocity = np.zeros_like(want.vector)
+    for epoch in range(4):
+        out, tape, _ = md.model_forward_nodes(x, model, want)
+        diff = out - tape.constant(y)
+        loss = (diff * diff).mean()
+        assert hist.epochs[epoch]["loss"] == float(loss.value[0, 0])
+        grad = tape.backward(loss)["l0.h0.c0.psi"].reshape(-1)
+        velocity = 0.0 * velocity - 0.01 * grad  # sgd without momentum
+        want.vector = want.vector + velocity
+    assert np.array_equal(store.vector, want.vector)

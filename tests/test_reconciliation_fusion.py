@@ -370,3 +370,18 @@ def test_fuse_rejects_parameters_a_fusion_does_not_learn(spec):
 def test_fusion_spec_fields():
     assert [f.name for f in dataclasses.fields(fu.FusionSpec)] == [
         "strategy", "weights", "metric", "target", "low_rank"]
+
+
+@pytest.mark.parametrize("method, sizes", [
+    ("identity", dict(n=2, D=2)),
+    ("constant_eye", dict(n=2, D=2)),
+    ("lorr", dict(n=2, D=3, rank=1)),
+    ("vera", dict(n=2, D=3, rank=1)),
+    ("hypernet_lowrank", dict(n=2, D=3, rank=1, mid=2, input_len=4)),
+])
+@pytest.mark.parametrize("copies", [dict(p=7, p_count=9), dict(p=1), dict(p_count=2)])
+def test_only_duplicated_padding_takes_p_and_p_count(method, sizes, copies):
+    # identity with p = 7, p_count = 9 once built and ran with both ignored
+    with pytest.raises(ValueError, match="size a duplicated padding only; a %s" % method):
+        rc.ReconciliationSpec(method, **sizes, **copies)
+    assert rc.ReconciliationSpec(method, **sizes, p=0, p_count=0).p == 0
