@@ -19,7 +19,7 @@ from . import interdependence as itd
 from . import model as md
 from . import reconciliation as rc
 from . import transformation as tf
-from .numeric_core import Prng, SparseCoo, as_dense
+from .numeric_core import Prng, SparseCoo
 
 
 class ConfigError(Exception):
@@ -176,7 +176,7 @@ def _matrix_from_config(spec):
         m = f["m"]
         if m < 1:
             raise ValueError("m must be >= 1")
-        return SparseCoo.from_arrays(m, m, np.arange(m), np.arange(m), np.ones(m))
+        return SparseCoo(m, m, np.arange(m), np.arange(m), np.ones(m))
     if kind == "chain":
         return itd.chain_structural_coo(**f)
     if kind == "graph":
@@ -196,7 +196,7 @@ def cmd_build_matrix(config, out, seed_override=None):
     _check_keys(config, {"matrix", "seed"}, "")
     a = _matrix_from_config(_get(config, "matrix", "", dict))
     if not isinstance(a, SparseCoo):
-        a = SparseCoo.from_dense(as_dense(a))
+        a = SparseCoo.from_dense(a)
     with open(out, "w", encoding="utf-8") as fh:
         fh.write(a.to_matrix_market())
     stats = {"rows": a.rows, "cols": a.cols, "nnz": a.nnz,

@@ -325,8 +325,8 @@ def grid_structural_matrix(grid, shape, packing, mode="padding"):
     else:
         raise ValueError("unknown grid structural mode %r" % mode)
     inside = idx < grid.size
-    return SparseCoo.from_arrays(grid.size, width, idx[inside], cols[inside],
-                                 np.ones(np.count_nonzero(inside)))
+    return SparseCoo(grid.size, width, idx[inside], cols[inside],
+                     np.ones(np.count_nonzero(inside)))
 
 
 _CHAIN_VARIANTS = ("onehop", "multihop", "accumulative", "exponential", "reciprocal")
@@ -421,7 +421,7 @@ def chain_structural_coo(m, direction="uni", variant="onehop", hops=1,
     counts = np.searchsorted(bands, m - np.arange(m))
     rows = np.repeat(np.arange(m), counts)
     k = bands[np.arange(rows.size) - np.repeat(np.cumsum(counts) - counts, counts)]
-    return SparseCoo.from_arrays(m, m, rows, rows + k, coefs[k])
+    return SparseCoo(m, m, rows, rows + k, coefs[k])
 
 
 def _check_hops(hops):
@@ -552,17 +552,23 @@ def build_node(spec, x_node, param_node):
     and in the data they read; `RpnHead` expands its data through
     `transformation.expand_node`, and a `Hybrid` builds each child here and
     fuses them with `fusion.fuse_nodes`. Parameter-free variants are
-    constants of the batch, and a sparse one is returned as the `SparseCoo`
-    itself. Structure (`_RESOLVED`) is resolved once per spec; kernels and
-    `Constant` are read on every call. x_node may be None for variants that
-    ignore the data, param_node for parameter-free specs.
+    constants, and a sparse one is returned as the `SparseCoo` itself. A
+    kernel (`StatKernel`, `NumKernel`) is numpy-only and value-only in the
+    data it reads (`Tape.value_only`): on a gradient-carrying input it
+    drops that gradient, and `train` refuses such a config. Structure
+    (`_RESOLVED`) is resolved once per spec; kernels and `Constant` are
+    read on every call. x_node may be None for variants that ignore the
+    data, param_node for parameter-free specs.
     """
     tape = (x_node if x_node is not None else param_node).tape
     v = spec.variant
     if not isinstance(v, (Parameterized, Bilinear, LowRankBilinear, RpnHead, Hybrid)):
         a = _resolved_matrix(spec) if isinstance(v, _RESOLVED) else \
             _fixed_matrix(spec, None if x_node is None else x_node.value)
-        return a if isinstance(a, SparseCoo) else tape.constant(a)
+        if isinstance(a, SparseCoo):
+            return a
+        reads = [x_node] if isinstance(v, (StatKernel, NumKernel)) else []
+        return tape.value_only(a, reads, "data kernel")
     if param_node is None:
         param_node = tape.constant(np.zeros(0))
     if isinstance(v, (Bilinear, LowRankBilinear, RpnHead)):

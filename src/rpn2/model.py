@@ -45,8 +45,8 @@ from . import fusion as fu
 from . import interdependence as itd
 from . import reconciliation as rc
 from . import transformation as tf
-from .numeric_core import (Arena, Node, Prng, SparseCoo, Tape, cross_entropy_node, norm,
-                           softmax_node)
+from .numeric_core import (Arena, Node, Prng, SparseCoo, Tape, class_labels,
+                           cross_entropy_node, norm, softmax_node)
 
 
 @dataclass
@@ -332,7 +332,13 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
     """Full-batch gradient training; deterministic given the seed.
 
     `loss="mse"` needs `y` in the output's shape; a 1-D `y` is read as one
-    column, and any other shape raises ValueError before the first update.
+    column. `loss="cross_entropy"` needs one integer label in [0, columns)
+    per output row. Both are checked against the output of epoch 0's
+    forward, which runs before the loop, so a wrong target raises ValueError
+    before any update, even at `epochs=0`. After epoch 0's backward, a
+    parameter that no gradient reaches, or a gradient cut by a value-only op
+    (wavelet expansion, metric fusion, a data kernel on a gradient-carrying
+    input), raises ValueError before any update.
 
     The input is the same in every epoch, so each layer-0 head's
     gradient-free prefix (and any constant relation matrix it applies past
@@ -355,23 +361,29 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
     if store is None:
         store = init_store(model, seed)
     x = np.asarray(x, dtype=float)
-    if loss == "mse":
-        y = np.asarray(y, dtype=float)
-        target = y[:, None] if y.ndim == 1 else y
     velocity = np.zeros_like(store.vector)
     m1 = np.zeros_like(store.vector)
     m2 = np.zeros_like(store.vector)
     history = History()
     memo = {}  # epoch-invariant values of this call's forwards (head_forward)
     arena = Arena()
+    start = time.perf_counter()
+    arena.recycle()  # every epoch's forward, this first one too, starts here
+    out, tape, _ = model_forward_nodes(x, model, store, memo=memo, arena=arena)
+    if loss == "mse":
+        y = np.asarray(y, dtype=float)
+        target = y[:, None] if y.ndim == 1 else y
+        if target.shape != out.shape:
+            raise ValueError("mse needs a target of the output's shape %s, got %s"
+                             % (out.shape, y.shape))
+    else:
+        y = class_labels(y, *out.shape)
     for epoch in range(epochs):
-        start = time.perf_counter()
-        arena.recycle()  # the last epoch's tape and gradients are spent
-        out, tape, _ = model_forward_nodes(x, model, store, memo=memo, arena=arena)
+        if epoch:  # epoch 0's forward ran above, before the target checks
+            start = time.perf_counter()
+            arena.recycle()  # the last epoch's tape and gradients are spent
+            out, tape, _ = model_forward_nodes(x, model, store, memo=memo, arena=arena)
         if loss == "mse":
-            if target.shape != out.shape:
-                raise ValueError("mse needs a target of the output's shape %s, got %s"
-                                 % (out.shape, y.shape))
             diff = out - tape.constant(target)
             loss_node = (diff * diff).mean()
             metric = float(np.asarray(loss_node.value).reshape(-1)[0])

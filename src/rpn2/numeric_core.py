@@ -27,41 +27,34 @@ def as_dense(a):
 
 
 class SparseCoo:
-    """Canonical COO matrix: duplicate triplets summed, explicit zeros dropped.
+    """Canonical COO matrix: duplicate entries summed, explicit zeros dropped.
 
-    `rows` and `cols` are the dimensions. The entries are three arrays sorted
-    by (row, col): int64 `row_idx` and `col_idx` and float64 `vals`. They are
-    read-only: a matrix never changes after construction, so it can be
-    shared (a resolved structure matrix is) and plan its products once.
+    `rows` and `cols` are the dimensions; `row_idx`, `col_idx` and `vals` are
+    the entries in any order, duplicates allowed. They are canonicalised once:
+    sorted by (row, col) into int64 `row_idx` and `col_idx` and float64
+    `vals`, each position's values summed in the order given, and a position
+    kept when its sum is != 0 (so NaN stays and +-0.0 goes). The arrays are
+    read-only and nothing reassigns them: a matrix never changes after
+    construction, so it can be shared (a resolved structure matrix is) and
+    plan its products and its transpose once.
     """
 
-    def __init__(self, rows, cols, triplets=()):
+    def __init__(self, rows, cols, row_idx=(), col_idx=(), vals=()):
         if rows < 0 or cols < 0:
             raise ValueError("negative dimensions")
         self.rows = int(rows)
         self.cols = int(cols)
-        trips = list(triplets)
-        self._set_entries([t[0] for t in trips], [t[1] for t in trips],
-                          [float(t[2]) for t in trips])
-
-    @classmethod
-    def from_arrays(cls, rows, cols, row_idx, col_idx, vals):
-        """Same canonical form as the triplet constructor, from index and
-        value arrays taken in triplet order."""
-        out = cls(rows, cols)
-        out._set_entries(row_idx, col_idx, vals)
-        return out
-
-    def _set_entries(self, i, j, v):
         # A stable sort keeps the entries of one (row, col) in the order
         # given. np.add.at then sums them one after another from 0.0, which
         # np.add.reduceat would not: it adds a run's tail pairwise.
-        i = np.asarray(i).astype(np.int64).reshape(-1)
-        j = np.asarray(j).astype(np.int64).reshape(-1)
-        v = np.asarray(v, dtype=float).reshape(-1)
+        i = np.asarray(row_idx).astype(np.int64).reshape(-1)
+        j = np.asarray(col_idx).astype(np.int64).reshape(-1)
+        v = np.asarray(vals, dtype=float).reshape(-1)
+        if not i.size == j.size == v.size:
+            raise ValueError("row_idx, col_idx and vals differ in length")
         if i.size and (min(i.min(), j.min()) < 0
                        or i.max() >= self.rows or j.max() >= self.cols):
-            raise IndexError("triplet index out of range")
+            raise IndexError("entry index out of range")
         order = np.lexsort((j, i))
         i, j, v = i[order], j[order], v[order]
         first = np.ones(i.size, dtype=bool)
@@ -86,10 +79,12 @@ class SparseCoo:
         return list(zip(self.row_idx.tolist(), self.col_idx.tolist(), self.vals.tolist()))
 
     @classmethod
-    def from_dense(cls, a, tol=0.0):
+    def from_dense(cls, a):
+        """The entries of a 2-D array that are != 0, the constructor's rule:
+        NaN is kept, +-0.0 dropped."""
         a = np.asarray(a, dtype=float)
-        ii, jj = np.nonzero(np.abs(a) > tol)
-        return cls.from_arrays(a.shape[0], a.shape[1], ii, jj, a[ii, jj])
+        ii, jj = np.nonzero(a)
+        return cls(a.shape[0], a.shape[1], ii, jj, a[ii, jj])
 
     def to_dense(self):
         out = np.zeros((self.rows, self.cols))
@@ -163,15 +158,16 @@ class SparseCoo:
         """The transposed matrix, built on first use and kept (with its own
         product plan) for the backward products that apply it."""
         if self._transposed is None:
-            self._transposed = SparseCoo.from_arrays(self.cols, self.rows, self.col_idx,
-                                                     self.row_idx, self.vals)
+            self._transposed = SparseCoo(self.cols, self.rows, self.col_idx,
+                                         self.row_idx, self.vals)
         return self._transposed
 
     def to_matrix_market(self):
         lines = ["%%MatrixMarket matrix coordinate real general",
                  "%d %d %d" % (self.rows, self.cols, self.nnz)]
-        for i, j, v in self.triplets:
-            lines.append("%d %d %.17g" % (i + 1, j + 1, v))
+        lines += ["%d %d %.17g" % e for e in zip((self.row_idx + 1).tolist(),
+                                                 (self.col_idx + 1).tolist(),
+                                                 self.vals.tolist())]
         return "\n".join(lines) + "\n"
 
 
@@ -562,7 +558,7 @@ def concat_nodes(nodes):
     return Node(nodes[0].tape, out, vjps)
 
 
-def _class_labels(labels, rows, classes):
+def class_labels(labels, rows, classes):
     """labels as int64 class indices, one per row, each in [0, classes)."""
     y = np.asarray(labels)
     if y.shape != (rows,):
@@ -590,7 +586,7 @@ def cross_entropy_node(logits, labels):
     """
     z = logits.value
     b, classes = z.shape
-    labels = _class_labels(labels, b, classes)
+    labels = class_labels(labels, b, classes)
     rows = np.arange(b)
     zs = np.asfortranarray(z)
     zs = zs - zs.max(axis=1, keepdims=True)

@@ -15,11 +15,20 @@ import numpy as np
 from .numeric_core import Prng, Tape
 
 
+# the methods that read each optional field; every other method needs it 0
+_READERS = {"rank": ("lorr", "vera", "hypernet_lowrank"),
+            "mid": ("hypernet_lowrank",), "input_len": ("hypernet_lowrank",),
+            "seed": ("vera", "hypernet_lowrank"),
+            "p": ("duplicated_padding",), "p_count": ("duplicated_padding",)}
+
+
 @dataclass(frozen=True)
 class ReconciliationSpec:
     """Frozen, because its random factors are kept on it (`frozen_randoms`).
     A duplicated padding is n blocks of D / n: psi repeats one vector of
-    D / n entries on its n diagonal blocks."""
+    D / n entries on its n diagonal blocks. A field that the method does not
+    read (`rank`, `mid`, `input_len`, `seed`, `p`, `p_count`) must be 0, so
+    that no size is given and silently ignored."""
 
     method: str  # identity | constant_eye | duplicated_padding | lorr | vera | hypernet_lowrank
     n: int
@@ -38,10 +47,11 @@ class ReconciliationSpec:
             raise ValueError("duplicated_padding needs D = %d to be a multiple of n = %d, "
                              "and p = %d and p_count = %d to be 0 or D / n and n"
                              % (self.D, self.n, self.p, self.p_count))
-        if self.method != "duplicated_padding" and (self.p or self.p_count):
-            raise ValueError("p = %d and p_count = %d size a duplicated padding only; "
-                             "a %s reconciliation needs both 0"
-                             % (self.p, self.p_count, self.method))
+        unread = ["%s = %d" % (key, getattr(self, key)) for key, methods in _READERS.items()
+                  if getattr(self, key) and self.method not in methods]
+        if unread:
+            raise ValueError("%s reconciliation reads no %s; set it to 0"
+                             % (self.method, " or ".join(unread)))
 
 
 def param_length(spec):

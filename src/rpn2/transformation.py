@@ -30,14 +30,6 @@ class ExpansionSpec:
     order: int = 1
     wavelet_params: dict = field(default_factory=dict)
 
-    def out_width(self, m):
-        if self.family == "identity":
-            return m
-        if self.family == "wavelet":
-            base = self.s_max * self.t_max * m
-            return base * base if self.order == 2 else base
-        return m * self.d
-
 
 # ---------------------------------------------------------------------------
 # polynomial families

@@ -322,3 +322,25 @@ def test_train_mse_on_labels_rejects_a_width_2_output(tmp_path, capsys):
     assert _run(["train", "--config", cfg]) == 4
     assert "output's shape (200, 2), got (200,)" in capsys.readouterr().err
     assert not (tmp_path / "c.json").exists()
+
+
+@pytest.mark.parametrize("head, loss, bad", [
+    # width 1: the moons labels 0 and 1 need two classes
+    ({"m": 2, "n": 1, "reconciliation": {"method": "identity", "n": 1, "D": 2}},
+     "cross_entropy", "labels must lie in [0, 1)"),
+    ({"m": 2, "n": 3, "reconciliation": {"method": "identity", "n": 3, "D": 2}},
+     "mse", "mse needs a target of the output's shape (40, 3)"),
+    ({"m": 2, "n": 2, "reconciliation": {"method": "identity", "n": 2, "D": 2, "rank": 3}},
+     "cross_entropy", "identity reconciliation reads no rank = 3"),
+])
+def test_train_refuses_a_bad_target_or_an_unread_size_at_epochs_0(tmp_path, capsys,
+                                                                  head, loss, bad):
+    cfg = _write(tmp_path / "t.json", {
+        "model": {"layers": [{"heads": [head]}]},
+        "data": {"kind": "two_moons", "n": 40, "noise": 0.1, "seed": 7},
+        "train": {"loss": loss, "epochs": 0},
+        "outputs": {"metrics": str(tmp_path / "m.csv"),
+                    "checkpoint": str(tmp_path / "c.json")}})
+    assert _run(["train", "--config", cfg]) == 4
+    assert bad in capsys.readouterr().err
+    assert not (tmp_path / "c.json").exists()

@@ -83,7 +83,9 @@ def _reconciliation(method, n, D, draw):
         return rc.ReconciliationSpec(method, n=n, D=D)
     seed = draw(st.integers(0, 99))
     if method in ("lorr", "vera"):
-        return rc.ReconciliationSpec(method, n=n, D=D, rank=draw(st.integers(1, 2)), seed=seed)
+        # lorr reads no seed; it is drawn anyway, so the examples stay the same
+        return rc.ReconciliationSpec(method, n=n, D=D, rank=draw(st.integers(1, 2)),
+                                     seed=seed if method == "vera" else 0)
     return rc.ReconciliationSpec(method, n=n, D=D, rank=2, mid=3, input_len=4, seed=seed)
 
 
@@ -106,7 +108,7 @@ def _head(case, draw):
     family = "identity" if station == "attr_post" and variant in READS_DATA else \
         draw(st.sampled_from(("identity", "hermite", "legendre", "laguerre")))
     expansion = tf.ExpansionSpec(family, d=1 if family == "identity" else draw(st.integers(1, 2)))
-    D = expansion.out_width(m)
+    D = tf.expand(np.zeros((1, m)), expansion).shape[1]
     dim = {"attr_prior": m, "attr_post": D}.get(station, b)
     axis = "attribute" if station.startswith("attr") else "instance"
     spec = itd.InterdependenceSpec(_variant(variant, dim, b, m, axis, draw), axis=axis,

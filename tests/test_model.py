@@ -454,6 +454,79 @@ def test_mse_rejects_a_target_of_another_shape_before_the_first_update(n_out, y_
     assert store.vector is before
 
 
+@pytest.mark.parametrize("loss, y, message", [
+    ("mse", np.zeros((5, 7)), r"output's shape \(5, 2\), got \(5, 7\)"),
+    ("cross_entropy", [0, 1, 9, -1, 0.5], "integers"),
+    ("cross_entropy", [0, 1, 9, -1, 0], r"\[0, 2\)"),
+])
+@pytest.mark.parametrize("epochs", [0, 1])
+def test_train_checks_the_target_before_the_first_epoch(loss, y, message, epochs):
+    # both were once checked inside epoch 0 only, so epochs=0 accepted them
+    with pytest.raises(ValueError, match=message):
+        md.train(_regression_head(2), np.ones((5, 2)), y, loss=loss, epochs=epochs)
+
+
+def _two_heads(head_fusion, channel_fusion=fu.FusionSpec("sum")):
+    head = md.HeadConfig(m=2, n=2, expansion=tf.ExpansionSpec("identity"),
+                         reconciliation=rc.ReconciliationSpec("identity", n=2, D=2),
+                         channels=2, channel_fusion=channel_fusion)
+    return md.ModelConfig([md.LayerConfig([head, head], head_fusion)])
+
+
+@pytest.mark.parametrize("model, width", [
+    (_two_heads(fu.FusionSpec("average")), 2),
+    (_two_heads(fu.FusionSpec("concat_linear", target=3)), 3),
+    (_two_heads(fu.FusionSpec("sum"), fu.FusionSpec("concat_linear", target=5)), 5),
+    (md.ModelConfig([]), 4),
+])
+def test_the_target_is_checked_against_the_output_width(model, width):
+    x = np.ones((5, 2 if model.layers else 4))
+    assert md.model_forward(x, model, md.init_store(model, 0)).shape == (5, width)
+    md.train(model, x, np.zeros((5, width)), epochs=0)
+    with pytest.raises(ValueError, match="output's shape"):
+        md.train(model, x, np.zeros((5, width + 1)), epochs=0)
+    md.train(model, x, [width - 1] * 5, loss="cross_entropy", epochs=0)
+    with pytest.raises(ValueError, match=r"\[0, %d\)" % width):
+        md.train(model, x, [width] * 5, loss="cross_entropy", epochs=0)
+
+
+def _instance_prior(matrix):
+    return _single(md.HeadConfig(
+        m=2, n=2, expansion=tf.ExpansionSpec("identity"),
+        reconciliation=rc.ReconciliationSpec("identity", n=2, D=2),
+        inst_prior=itd.InterdependenceSpec(itd.Constant(matrix), axis="instance")))
+
+
+@pytest.mark.parametrize("epochs", [0, 3])
+def test_the_target_is_checked_against_the_rows_an_instance_matrix_gives(epochs):
+    # a 5 x 4 instance matrix turns 5 input rows into 4 output rows; the
+    # target follows the output, not the input
+    model = _instance_prior(np.arange(20.0).reshape(5, 4) / 20)
+    x = Prng(1).normals((5, 2))
+    assert md.model_forward(x, model, md.init_store(model, 0)).shape == (4, 2)
+    history, _ = md.train(model, x, np.zeros((4, 2)), epochs=epochs)
+    assert len(history.epochs) == epochs
+    md.train(model, x, [0, 1, 1, 0], loss="cross_entropy", epochs=epochs)
+    with pytest.raises(ValueError, match=r"output's shape \(4, 2\), got \(5, 2\)"):
+        md.train(model, x, np.zeros((5, 2)), epochs=epochs)
+    with pytest.raises(ValueError, match="one label per row: 4 rows"):
+        md.train(model, x, [0, 1, 1, 0, 1], loss="cross_entropy", epochs=epochs)
+
+
+def test_mse_refuses_a_batch_target_for_rows_pooled_into_one():
+    # a (5, 2) target would broadcast against the (1, 2) output into a
+    # silently wrong loss
+    model = _instance_prior(np.ones((5, 1)))
+    x = Prng(1).normals((5, 2))
+    store = md.init_store(model, 0)
+    before = store.vector
+    for epochs in (0, 1):
+        with pytest.raises(ValueError, match=r"output's shape \(1, 2\), got \(5, 2\)"):
+            md.train(model, x, np.zeros((5, 2)), epochs=epochs, store=store)
+    assert store.vector is before
+    md.train(model, x, np.zeros((1, 2)), epochs=1)
+
+
 def test_mse_trains_chain_series_targets_as_before():
     # (b, m) targets go in as given: the loss is the mean of (out - y)^2,
     # built on the tape as it was before 1-D targets were read as columns

@@ -16,7 +16,7 @@ from rpn2.numeric_core import (Node, Prng, SingularMatrixError, SparseCoo,
 
 
 def test_sparse_canonicalization_sums_duplicates_drops_zeros():
-    a = SparseCoo(3, 3, [(0, 0, 1.0), (0, 0, 2.0), (1, 1, 5.0), (1, 1, -5.0)])
+    a = SparseCoo(3, 3, [0, 0, 1, 1], [0, 0, 1, 1], [1.0, 2.0, 5.0, -5.0])
     assert a.nnz == 1
     assert a.triplets == [(0, 0, 3.0)]
 
@@ -33,7 +33,7 @@ def test_sparse_roundtrip_and_matmul():
 
 
 def test_matrix_market_format():
-    s = SparseCoo(2, 3, [(1, 2, 0.5), (0, 0, -1.0)])
+    s = SparseCoo(2, 3, [1, 0], [2, 0], [0.5, -1.0])
     text = s.to_matrix_market()
     lines = text.strip().split("\n")
     assert lines[0] == "%%MatrixMarket matrix coordinate real general"
@@ -44,7 +44,32 @@ def test_matrix_market_format():
 
 def test_sparse_rejects_out_of_range():
     with pytest.raises(IndexError):
-        SparseCoo(2, 2, [(2, 0, 1.0)])
+        SparseCoo(2, 2, [2], [0], [1.0])
+
+
+def test_from_dense_keeps_what_the_constructor_keeps():
+    # the one entry rule, value != 0: NaN and inf stay, +-0.0 goes
+    d = np.array([[np.nan, 1.0], [-0.0, np.inf]])
+    s = SparseCoo.from_dense(d)
+    assert s.nnz == 3
+    assert s.to_dense().tobytes() == np.array([[np.nan, 1.0], [0.0, np.inf]]).tobytes()
+    same = SparseCoo(2, 2, [0, 0, 1, 1], [0, 1, 0, 1], d.reshape(-1))
+    for x, y in ((s.row_idx, same.row_idx), (s.col_idx, same.col_idx), (s.vals, same.vals)):
+        assert x.tobytes() == y.tobytes()
+    assert s.to_matrix_market().split("\n")[2:4] == ["1 1 nan", "1 2 1"]
+
+
+def test_each_matrix_is_canonicalised_once(monkeypatch):
+    calls = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+    s = SparseCoo.from_dense(np.eye(4)[::-1])
+    t = s.transpose()
+    u = SparseCoo(5, 5)
+    assert len(calls) == 3
+    assert s.transpose() is t and t.nnz == 4 and u.nnz == 0
+    with pytest.raises(ValueError):
+        SparseCoo(2, 2, [0, 1], [0], [1.0, 2.0])
 
 
 @settings(max_examples=25, deadline=None)

@@ -382,6 +382,32 @@ def test_fusion_spec_fields():
 @pytest.mark.parametrize("copies", [dict(p=7, p_count=9), dict(p=1), dict(p_count=2)])
 def test_only_duplicated_padding_takes_p_and_p_count(method, sizes, copies):
     # identity with p = 7, p_count = 9 once built and ran with both ignored
-    with pytest.raises(ValueError, match="size a duplicated padding only; a %s" % method):
+    with pytest.raises(ValueError, match="%s reconciliation reads no p" % method):
         rc.ReconciliationSpec(method, **sizes, **copies)
     assert rc.ReconciliationSpec(method, **sizes, p=0, p_count=0).p == 0
+
+
+@pytest.mark.parametrize("method, unread", [
+    ("identity", dict(rank=5, mid=7, input_len=9, seed=11)),
+    ("constant_eye", dict(rank=1)),
+    ("duplicated_padding", dict(seed=3)),
+    ("lorr", dict(seed=2)),
+    ("lorr", dict(mid=2)),
+    ("vera", dict(input_len=4)),
+])
+def test_a_reconciliation_takes_only_the_sizes_its_method_reads(method, unread):
+    # identity with rank 5, mid 7, input_len 9 and seed 11 once built with
+    # 6 parameters, all four ignored
+    sizes = dict(n=2, D=4, rank=1 if method in ("lorr", "vera") else 0)
+    with pytest.raises(ValueError, match="%s reconciliation reads no %s = " % (
+            method, next(iter(unread)))):
+        rc.ReconciliationSpec(method, **dict(sizes, **unread))
+    rc.ReconciliationSpec(method, **sizes)
+    rc.ReconciliationSpec("hypernet_lowrank", n=2, D=4, rank=1, mid=7, input_len=9, seed=11)
+    rc.ReconciliationSpec("vera", n=2, D=4, rank=1, seed=11)
+
+
+def test_parameterized_full_with_a_rank_is_refused():
+    spec = itd.InterdependenceSpec(itd.Parameterized(3, 3, "full", rank=2))
+    with pytest.raises(ValueError, match="identity reconciliation reads no rank = 2"):
+        itd.param_length(spec)

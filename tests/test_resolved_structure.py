@@ -168,7 +168,7 @@ def test_rmatmul_plan_is_kept_and_repeats_bytes():
     for _ in range(3):
         assert s.rmatmul(x).tobytes() == first.tobytes()
     assert s._rmatmul_plan() is plan
-    copy = SparseCoo.from_arrays(9, 7, s.row_idx, s.col_idx, s.vals)
+    copy = SparseCoo(9, 7, s.row_idx, s.col_idx, s.vals)
     assert copy.rmatmul(x).tobytes() == first.tobytes()
     assert s.transpose() is s.transpose()
     b = rng.standard_normal((7, 3))

@@ -12,7 +12,7 @@ from rpn2 import interdependence as itd
 from rpn2 import model as md
 from rpn2 import reconciliation as rc
 from rpn2 import transformation as tf
-from rpn2.numeric_core import cross_entropy_node
+from rpn2.numeric_core import Prng, cross_entropy_node
 
 B, M = 12, 3
 
@@ -99,8 +99,9 @@ def _learned_prior_head():
 
 def _two_layer():
     first = md.LayerConfig([_kernel_head(), _tanh_constant_post_head()])
+    # a kernel here would read a gradient-carrying input, which train refuses
     second = _head(2, 2, processors={"input": "tanh", "output": "tanh"},
-                   inst_post=_instance(itd.NumKernel("linear"), post_norm="col_softmax"))
+                   inst_post=_instance(itd.ChainStructural(B, "bi"), post_norm="col_softmax"))
     return md.ModelConfig([first, md.LayerConfig([second])])
 
 
@@ -149,8 +150,7 @@ def test_folded_training_is_byte_identical_to_unfolded(name):
     ("instance_num_kernel", {(0, 0)}, 1),
     ("tanh_input_constant_post", {(0, 0), (0, 0, "input")}, 0),
     ("learned_prior_inst_post_kernel", {(0, 0, "input"), (0, 0, "inst_post")}, 1),
-    # layer 1's kernel reads a gradient-carrying input: built every epoch
-    ("two_layers", {(0, 0), (0, 1), (0, 1, "input")}, 1 + 3),
+    ("two_layers", {(0, 0), (0, 1), (0, 1, "input")}, 1),
 ])
 def test_fold_keeps_layer0_constants_only(name, keys, kernel_builds, monkeypatch):
     build, loss, opt = CASES[name]
@@ -173,6 +173,24 @@ def test_fold_keeps_layer0_constants_only(name, keys, kernel_builds, monkeypatch
     md.train(model, x, labels if loss == "cross_entropy" else y, loss=loss,
              optimizer=opt, epochs=3, seed=1)
     assert len(calls) == kernel_builds
+
+
+@pytest.mark.parametrize("kernel", [itd.NumKernel("linear"), itd.StatKernel("pearson")])
+def test_a_kernel_on_a_gradient_carrying_input_is_refused(kernel):
+    # the kernel is value-only in its data: the tape gradient of layer 0
+    # would miss the path through it, so train stops before any update
+    first = md.HeadConfig(m=3, n=4, expansion=tf.ExpansionSpec("identity"),
+                          reconciliation=rc.ReconciliationSpec("identity", n=4, D=3),
+                          processors={"output": "tanh"})
+    model = md.ModelConfig([md.LayerConfig([first]), md.LayerConfig([_head(
+        4, 2, attr_prior=itd.InterdependenceSpec(kernel))])])
+    x, y = Prng(1).normals((12, 3)), Prng(2).normals((12, 2))
+    store = md.init_store(model, 0)
+    before = store.vector.copy()
+    with pytest.raises(ValueError, match="value-only data kernel"):
+        md.train(model, x, y, loss="mse", epochs=1, store=store)
+    assert np.array_equal(store.vector, before)
+    assert md.model_forward(x, model, store).shape == (12, 2)
 
 
 def test_memo_ends_with_the_call():

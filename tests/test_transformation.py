@@ -77,7 +77,6 @@ def test_expand_polynomial_degree_major_layout():
     out = tf.expand(x, spec)
     # [F1(x), F2(x), F3(x)] blocks: F1=1, F2=x, F3=x^2+1
     assert np.array_equal(out, np.array([[1, 1, 1, 2, 2, 5]], dtype=float))
-    assert spec.out_width(2) == 6
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +127,6 @@ def test_wavelet_expansion_widths():
     s1 = tf.ExpansionSpec("wavelet", wavelet="haar", s_max=2, t_max=3)
     out1 = tf.expand(x, s1)
     assert out1.shape == (3, 12)
-    assert s1.out_width(2) == 12
     s2 = tf.ExpansionSpec("wavelet", wavelet="haar", s_max=2, t_max=3, order=2)
     out2 = tf.expand(x, s2)
     assert out2.shape == (3, 144)
