@@ -34,6 +34,11 @@ def param_length(spec, widths):
     return 0
 
 
+def out_width(spec, widths):
+    """Column width of fusing inputs of these widths: concat_linear's target, else theirs."""
+    return spec.target if spec.strategy == "concat_linear" else widths[0]
+
+
 def fuse(inputs, spec, params=None):
     """Fusion of plain matrices; evaluates fuse_nodes on a gradient-free tape."""
     with Tape() as tape:
@@ -51,22 +56,27 @@ _METRICS = {
 
 
 def fuse_nodes(nodes, spec, param_node=None):
-    """Fused tape node of matrix, head or channel output nodes."""
+    """Fused tape node of matrix, head or channel output nodes. Every fusion
+    runs, of one input too, but a parameter-free one with no fixed weights
+    (sum, average, hadamard, metric) returns a lone input as it is, adding no node."""
     k = len(nodes)
     if k == 0:
         raise ValueError("nothing to fuse")
-    tape = nodes[0].tape
     shapes = [n.value.shape for n in nodes]
-    if spec.strategy == "concat_linear":
-        if any(s[0] != shapes[0][0] for s in shapes):
-            raise ValueError("concat_linear inputs must share row counts")
-    elif shapes.count(shapes[0]) != k:
-        raise ValueError("fusion inputs must share a shape")
     need = param_length(spec, [s[-1] for s in shapes])
     given = 0 if param_node is None else param_node.value.size
     if given != need:
         raise ValueError("%s fusion of %d inputs needs %d parameters, got %d"
                          % (spec.strategy, k, need, given))
+    if spec.strategy == "metric" and spec.metric not in _METRICS:
+        raise ValueError("unknown fusion metric %r" % spec.metric)
+    if k == 1 and spec.strategy in ("sum", "average", "hadamard", "metric"):
+        return nodes[0]
+    if spec.strategy == "concat_linear":
+        if any(s[0] != shapes[0][0] for s in shapes):
+            raise ValueError("concat_linear inputs must share row counts")
+    elif shapes.count(shapes[0]) != k:
+        raise ValueError("fusion inputs must share a shape")
     if spec.strategy in ("sum", "average"):
         out = functools.reduce(operator.add, nodes)
         return out if spec.strategy == "sum" else out.scale(1.0 / k)
@@ -79,10 +89,8 @@ def fuse_nodes(nodes, spec, param_node=None):
             raise ValueError("need one weight per input")
         return functools.reduce(operator.add, [n * w for n, w in zip(nodes, weights)])
     if spec.strategy == "metric":
-        if spec.metric not in _METRICS:
-            raise ValueError("unknown fusion metric %r" % spec.metric)
-        return tape.value_only(_METRICS[spec.metric](np.stack([n.value for n in nodes])),
-                               nodes, "metric fusion")
+        return nodes[0].tape.value_only(
+            _METRICS[spec.metric](np.stack([n.value for n in nodes])), nodes, "metric fusion")
     if spec.strategy == "concat_linear":
         cat = concat_nodes(nodes)
         if spec.low_rank:

@@ -3,7 +3,8 @@
 A head computes, per channel,
     inst_post.T @ [ inst_prior.T @ kappa(X @ attr_prior) @ attr_post ] @ psi(w).T
 plus the remainder of the head input, with processors applied at their
-stations. Heads are fused per layer, layers are stacked.
+stations. `fusion.fuse_nodes` fuses a head's channels and a layer's heads,
+one of them too; layers are stacked.
 
 The head only chains stations; each component dispatches its own variants
 on the tape: `interdependence.build_node` every relation matrix,
@@ -111,18 +112,22 @@ _INTERDEP_TAGS = ("attr_prior", "attr_post", "inst_prior", "inst_post")
 
 def _slot_walk(model):
     """(name, shape, init scale) of every candidate slot, in vector order;
-    head fusion weights are unscaled (a factor of 1.0 changes no float)."""
+    head fusion weights are unscaled (a factor of 1.0 changes no float). A
+    head's `n` must be the width its channel fusion gives (`fusion.out_width`)."""
     for k, layer in enumerate(model.layers):
         for h, head in enumerate(layer.heads):
             pre = "l%d.h%d." % (k, h)
             recon = head.reconciliation
-            # fusions are sized from n, so n must be the width recon gives
-            if head.n != recon.n:
-                raise ValueError("head l%d.h%d declares n = %d, but its %s reconciliation "
-                                 "gives width %d" % (k, h, head.n, recon.method, recon.n))
+            widths = (recon.n,) * head.channels
             if head.channels < 1:
                 raise ValueError("head l%d.h%d has %d channels; it needs at least one"
                                  % (k, h, head.channels))
+            width = fu.out_width(head.channel_fusion, widths)
+            if head.n != width:
+                raise ValueError("head l%d.h%d declares n = %d, but its %s reconciliation "
+                                 "(n = %d) under %s channel fusion gives width %d"
+                                 % (k, h, head.n, recon.method, recon.n,
+                                    head.channel_fusion.strategy, width))
             scale = 1.0 / np.sqrt(max(1, head.m))
             for tag in _INTERDEP_TAGS:
                 spec = getattr(head, tag)
@@ -132,16 +137,9 @@ def _slot_walk(model):
                 yield pre + "c%d.psi" % c, (rc.param_length(recon),), scale
             if head.remainder == "linear":
                 yield pre + "pi", (head.m, head.n), scale
-            yield pre + "cfuse", (_fusion_length(head.channel_fusion,
-                                                 (head.n,) * head.channels),), scale
-        yield "l%d.hfuse" % k, (_fusion_length(layer.head_fusion,
-                                               [h.n for h in layer.heads]),), 1.0
-
-
-def _fusion_length(spec, widths):
-    """fusion.param_length, or 0 for one input: the forward never fuses one
-    channel or one head, so a slot for it would get no gradient."""
-    return fu.param_length(spec, widths) if len(widths) > 1 else 0
+            yield pre + "cfuse", (fu.param_length(head.channel_fusion, widths),), scale
+        yield "l%d.hfuse" % k, (fu.param_length(layer.head_fusion,
+                                                [h.n for h in layer.heads]),), 1.0
 
 
 def init_store(model, seed=0):
@@ -255,18 +253,15 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None, memo=None):
     outs = [rc.reconciled_product(cur, head.reconciliation,
                                   param_nodes.get("l%d.h%d.c%d.psi" % (k, h, c)))
             for c in range(head.channels)]
-    if len(outs) == 1:
-        out = outs[0]
-    else:
-        cf_param = param_nodes.get("l%d.h%d.cfuse" % (k, h))
-        out = fu.fuse_nodes(outs, head.channel_fusion, cf_param)
+    out = fu.fuse_nodes(outs, head.channel_fusion, param_nodes.get("l%d.h%d.cfuse" % (k, h)))
     a_iq = interdep("inst_post", out)
     if a_iq is not None:
         out = _instance_apply(a_iq, out)
 
     if head.remainder == "identity":
-        if head.m != head.n:
-            raise ValueError("identity remainder needs matching widths")
+        if out.shape != x_station.shape:
+            raise ValueError("head l%d.h%d: an identity remainder needs an output of the input's "
+                             "shape %s, got %s" % (k, h, x_station.shape, out.shape))
         out = out + x_station
     elif head.remainder == "linear":
         w_pi = param_nodes["l%d.h%d.pi" % (k, h)]
@@ -279,10 +274,7 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None, memo=None):
 def layer_forward(x_node, layer, param_nodes, k=0, trace=None, memo=None):
     outs = [head_forward(x_node, head, param_nodes, k, h, trace, memo)
             for h, head in enumerate(layer.heads)]
-    if len(outs) == 1:
-        return outs[0]
-    hf_param = param_nodes.get("l%d.hfuse" % k)
-    return fu.fuse_nodes(outs, layer.head_fusion, hf_param)
+    return fu.fuse_nodes(outs, layer.head_fusion, param_nodes.get("l%d.hfuse" % k))
 
 
 def model_forward_nodes(x, model, store, trace=None, memo=None, arena=None):

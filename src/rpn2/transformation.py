@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid_geometry as gg
-from .numeric_core import Node, Tape, concat_nodes
+from .numeric_core import Node, Tape, concat_nodes, scaled_softmax
 
 
 @dataclass(frozen=True)
@@ -471,12 +471,6 @@ def sparse_projection_matrix(prng, m, k, s=1.0):
 # -- probabilistic compression ----------------------------------------------
 
 
-def _softmax_scores(row):
-    z = row - row.max()
-    e = np.exp(z)
-    return e / e.sum()
-
-
 def compress_probabilistic(x, spec, prng):
     """Sampling-based compression.
 
@@ -495,7 +489,7 @@ def compress_probabilistic(x, spec, prng):
         if d > m:
             raise ValueError("d cannot exceed the attribute count")
         for i in range(b):
-            weights = _softmax_scores(x[i]).tolist()
+            weights = scaled_softmax(x[i][None, :], 1)[0].tolist()
             avail = list(range(m))
             picks = []
             for _ in range(d):

@@ -466,8 +466,8 @@ def test_train_checks_the_target_before_the_first_epoch(loss, y, message, epochs
         md.train(_regression_head(2), np.ones((5, 2)), y, loss=loss, epochs=epochs)
 
 
-def _two_heads(head_fusion, channel_fusion=fu.FusionSpec("sum")):
-    head = md.HeadConfig(m=2, n=2, expansion=tf.ExpansionSpec("identity"),
+def _two_heads(head_fusion, channel_fusion=fu.FusionSpec("sum"), n=2):
+    head = md.HeadConfig(m=2, n=n, expansion=tf.ExpansionSpec("identity"),
                          reconciliation=rc.ReconciliationSpec("identity", n=2, D=2),
                          channels=2, channel_fusion=channel_fusion)
     return md.ModelConfig([md.LayerConfig([head, head], head_fusion)])
@@ -476,7 +476,8 @@ def _two_heads(head_fusion, channel_fusion=fu.FusionSpec("sum")):
 @pytest.mark.parametrize("model, width", [
     (_two_heads(fu.FusionSpec("average")), 2),
     (_two_heads(fu.FusionSpec("concat_linear", target=3)), 3),
-    (_two_heads(fu.FusionSpec("sum"), fu.FusionSpec("concat_linear", target=5)), 5),
+    # a head's n is the width its channel fusion gives: concat_linear's target
+    (_two_heads(fu.FusionSpec("sum"), fu.FusionSpec("concat_linear", target=5), n=5), 5),
     (md.ModelConfig([]), 4),
 ])
 def test_the_target_is_checked_against_the_output_width(model, width):

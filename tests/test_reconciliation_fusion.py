@@ -250,7 +250,8 @@ def test_fusion_param_lengths():
 def test_concat_linear_is_sized_without_learnable():
     spec = fu.FusionSpec("concat_linear", target=3)
     assert fu.param_length(spec, (2, 2)) == 12
-    head = md.HeadConfig(m=4, n=2, expansion=tf.ExpansionSpec("identity"),
+    # the head's n is its channel fusion's output width, the target
+    head = md.HeadConfig(m=4, n=3, expansion=tf.ExpansionSpec("identity"),
                          reconciliation=rc.ReconciliationSpec("identity", n=2, D=4),
                          channels=2, channel_fusion=spec)
     model = md.ModelConfig([md.LayerConfig([head])])

@@ -204,12 +204,14 @@ def test_memo_ends_with_the_call():
         assert _digest(history.epochs[-1]["loss"], store) == _digest(lv, want)
 
 
-def test_single_input_fusions_take_no_slot_and_train():
+def test_single_input_fusions_learn_and_train():
+    # a learned fusion of one channel or one head runs, so its slot learns
     head = _head(M, 2, channel_fusion=fu.FusionSpec("weighted_sum"))
     model = md.ModelConfig([md.LayerConfig(
         [head], head_fusion=fu.FusionSpec("concat_linear", target=2))])
     store = md.init_store(model, 0)
-    assert set(store.slots) == {"l0.h0.c0.psi"}
+    assert {name: store.slots[name][1] for name in store.slots} \
+        == {"l0.h0.c0.psi": 2 * M, "l0.h0.cfuse": 1, "l0.hfuse": 4}
     x, _, y = _data(3)
     history, store = md.train(model, x, y, epochs=2, seed=0)
     assert len(history.epochs) == 2 and history.epochs[1]["loss"] < history.epochs[0]["loss"]
