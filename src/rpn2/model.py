@@ -1,10 +1,16 @@
 """Head/layer/model composition, training and diagnostics.
 
-A head computes, per channel,
-    inst_post.T @ [ inst_prior.T @ kappa(X @ attr_prior) @ attr_post ] @ psi(w).T
+A head computes
+    inst_post.T @ fuse_c( inst_prior.T @ kappa(X @ attr_prior) @ attr_post @ psi_c(w_c).T )
 plus the remainder of the head input, with processors applied at their
-stations. `fusion.fuse_nodes` fuses a head's channels and a layer's heads,
-one of them too; layers are stacked.
+stations: each channel c reconciles with its own psi_c, and
+`fusion.fuse_nodes` fuses a head's channels and a layer's heads, one of
+them too; layers are stacked. The chain runs narrow-first: lorr and vera
+multiply through their thin factors (`reconciled_product`), and an
+instance prior that needs a gradient, or multiplies an input that does,
+is applied to each channel's b x n reconciled output instead of the b x D
+expansion when channels * n < D. That is exact in real arithmetic, because
+every reconciliation is a right product.
 
 The head only chains stations; each component dispatches its own variants
 on the tape: `interdependence.build_node` every relation matrix,
@@ -47,7 +53,7 @@ from . import interdependence as itd
 from . import reconciliation as rc
 from . import transformation as tf
 from .numeric_core import (Arena, Node, Prng, SparseCoo, Tape, class_labels,
-                           cross_entropy_node, norm, softmax_node)
+                           cross_entropy_node, mse_node, norm, softmax_node)
 
 
 @dataclass
@@ -198,6 +204,11 @@ _PREFIX_STATIONS = ("attr_prior", "expansion", "attr_post", "inst_prior")
 
 
 def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None, memo=None):
+    """One head's output node (see the module docstring for the chain). The
+    instance prior multiplies the expansion at its station, unless it or
+    the expansion needs a gradient and channels * n < D: then it multiplies
+    each channel's narrower reconciled output, before channel fusion. The
+    trace records it either way."""
     # With a memo (one `train` call), a head whose input needs no gradient
     # keeps the value of its gradient-free prefix under (k, h), the input
     # processor's under (k, h, "input"), and each constant relation matrix
@@ -227,7 +238,8 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None, memo=None):
 
     proc = check_processor(head.processors.get("input"))
     x_station = x_node if proc is None else kept((k, h, "input"), proc, x_node)
-    done, cur = 0, x_station
+    recon = head.reconciliation
+    done, cur, deferred = 0, x_station, None
     if fold and (k, h) in memo:
         done, value = memo[(k, h)]
         cur = tape.constant(value)
@@ -246,13 +258,21 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None, memo=None):
                     trace.setdefault("instance_matrices", []).append(
                         ("l%d.h%d.inst_prior" % (k, h),
                          a.to_dense() if isinstance(a, SparseCoo) else a.value))
+                if ((cur.needs_grad or getattr(a, "needs_grad", False))
+                        and head.channels * recon.n < recon.D):
+                    # every reconciliation is a right product, so the
+                    # matrix may multiply the narrower reconciled outputs;
+                    # the memo must not skip this station in a later epoch
+                    deferred = a
+                    continue
                 cur = _instance_apply(a, cur)
         if fold and not cur.needs_grad and cur is not x_station:
             memo[(k, h)] = (i, cur.value)
 
-    outs = [rc.reconciled_product(cur, head.reconciliation,
-                                  param_nodes.get("l%d.h%d.c%d.psi" % (k, h, c)))
+    outs = [rc.reconciled_product(cur, recon, param_nodes.get("l%d.h%d.c%d.psi" % (k, h, c)))
             for c in range(head.channels)]
+    if deferred is not None:
+        outs = [_instance_apply(deferred, o) for o in outs]
     out = fu.fuse_nodes(outs, head.channel_fusion, param_nodes.get("l%d.h%d.cfuse" % (k, h)))
     a_iq = interdep("inst_post", out)
     if a_iq is not None:
@@ -340,7 +360,9 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
     arrays of an `Arena` that are handed out again in the next epoch,
     instead of being freed to the system allocator and page-faulted back.
     The memo and the arena live as long as this call, and nothing this call
-    returns is held by either."""
+    returns is held by either. Before epoch 0, `store.vector` is replaced by
+    a copy, which the updates then change in place, together with the
+    optimizer's moments, so an array the caller holds is not changed."""
     opt = dict(optimizer or {})
     kind = opt.get("kind", "sgd")
     lr = float(opt.get("lr", 0.01))
@@ -370,14 +392,14 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
                              % (out.shape, y.shape))
     else:
         y = class_labels(y, *out.shape)
+    store.vector = store.vector.copy()  # updated in place below, not the caller's array
     for epoch in range(epochs):
         if epoch:  # epoch 0's forward ran above, before the target checks
             start = time.perf_counter()
             arena.recycle()  # the last epoch's tape and gradients are spent
             out, tape, _ = model_forward_nodes(x, model, store, memo=memo, arena=arena)
         if loss == "mse":
-            diff = out - tape.constant(target)
-            loss_node = (diff * diff).mean()
+            loss_node = mse_node(out, target)
             metric = float(np.asarray(loss_node.value).reshape(-1)[0])
         else:  # cross_entropy
             loss_node = cross_entropy_node(out, y)
@@ -396,20 +418,25 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
                                  "upstream of it need one; training would follow a "
                                  "truncated gradient" % " or ".join(sorted(set(tape.cuts))))
         g = _flatten_grads(store, grads)
+        # in place, each in the operand order of its out-of-place form
+        # (v = mom * v - lr * g, ...), so the trained bytes do not change
         if kind == "sgd":
             mom = float(opt.get("momentum", 0.0))
-            velocity = mom * velocity - lr * g
-            store.vector = store.vector + velocity
+            np.multiply(velocity, mom, out=velocity)
+            velocity -= lr * g
+            store.vector += velocity
         else:  # adaptive_moments
             b1 = float(opt.get("beta1", 0.9))
             b2 = float(opt.get("beta2", 0.999))
             eps = float(opt.get("eps", 1e-8))
-            m1 = b1 * m1 + (1 - b1) * g
-            m2 = b2 * m2 + (1 - b2) * g * g
+            np.multiply(m1, b1, out=m1)
+            m1 += (1 - b1) * g
+            np.multiply(m2, b2, out=m2)
+            m2 += (1 - b2) * g * g
             t = epoch + 1
             m1h = m1 / (1 - b1 ** t)
             m2h = m2 / (1 - b2 ** t)
-            store.vector = store.vector - lr * m1h / (np.sqrt(m2h) + eps)
+            store.vector -= lr * m1h / (np.sqrt(m2h) + eps)
         history.append(epoch, lv, metric, time.perf_counter() - start,
                        float(np.linalg.norm(g)), float(np.linalg.norm(store.vector)))
     return history, store

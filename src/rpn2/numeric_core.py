@@ -601,6 +601,20 @@ def cross_entropy_node(logits, labels):
     return Node(logits.tape, np.array([[loss]]), [(logits, vjp)])
 
 
+def mse_node(out, target):
+    """Mean squared error of `out` against a target array of its shape, as
+    one node. Value and gradient are bit-identical to
+    `((out - target) * (out - target)).mean()`, whose two product VJPs each
+    give the same array and so sum to twice it exactly."""
+    d = out.value - target
+    n = d.size
+
+    def vjp(g):
+        return 2.0 * (np.full(d.shape, float(np.sum(g)) / n) * d)
+
+    return Node(out.tape, np.array([[(d * d).mean()]]), [(out, vjp)])
+
+
 class Arena:
     """Output buffers handed out again from one training epoch to the next.
 

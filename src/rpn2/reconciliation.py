@@ -1,7 +1,9 @@
 """Parameter reconciliation: fabricate the n x D coefficient matrix from a
 short parameter vector.
 
-The fabricated matrix is laid out n x D and is applied as `expanded @ psi.T`.
+The fabricated matrix is laid out n x D and is applied as `expanded @ psi.T`;
+`reconciled_product` applies the low-rank ones through their factors and
+never forms them.
 This is the one module that lays learnable matrices out in parameter vectors.
 Frozen random factors are drawn once per spec with Box-Muller over the
 package's splitmix stream, so reconstruction from the same seed is
@@ -156,13 +158,26 @@ def reconcile_node(spec, w_node):
 
 
 def reconciled_product(x, spec, w_node):
-    """One channel's x @ psi.T as a tape node. Duplicated padding dots each
-    of the n blocks of x with w, without forming psi; every other method
-    fabricates psi with reconcile_node. w_node is None for constant_eye."""
+    """One channel's x @ psi.T as a tape node. The low-rank methods never
+    form psi: they run narrow-first through their factors, lorr
+    (psi = A B^T) as (x @ B) @ A^T and vera (psi = diag(l1) A diag(l2) B^T)
+    as ((x @ B) * l2) @ A^T * l1, so a b x D input costs O(b (n + D) rank),
+    not O(b n D). Duplicated padding dots each of the n blocks of x with w.
+    The other methods fabricate psi with reconcile_node, which stays the
+    oracle of every product. w_node is None for constant_eye."""
     b, width = x.value.shape
     if width != spec.D:
         raise ValueError("station reconciliation: expanded width %d != declared D %d"
                          % (width, spec.D))
+    if spec.method == "lorr":
+        wa, wb = lorr_factors(w_node, spec.n, spec.D, spec.rank)
+        return x.matmul(wb).matmul(wa.transpose())
+    if spec.method == "vera":
+        fr = frozen_randoms(spec)
+        lam1 = w_node.take(0, spec.n, (1, spec.n))
+        lam2 = w_node.take(spec.n, spec.n + spec.rank, (1, spec.rank))
+        xb = x.matmul(x.tape.constant(fr.B))
+        return (xb * lam2).matmul(x.tape.constant(fr.A.T)) * lam1
     if spec.method == "duplicated_padding":
         return x.reshape((b * spec.n, -1)).matmul(w_node.reshape((-1, 1))).reshape((b, spec.n))
     if w_node is None:

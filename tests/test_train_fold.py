@@ -97,6 +97,15 @@ def _learned_prior_head():
                  processors={"input": "sigmoid"}, remainder="linear")
 
 
+def _deferred_prior_head():
+    # the learned instance prior multiplies the 2-wide reconciled output,
+    # not the 6-wide expansion; the memo keeps the expansion only, so every
+    # epoch still applies the prior
+    return _head(M, 2, expansion=tf.ExpansionSpec("legendre", d=2),
+                 reconciliation=rc.ReconciliationSpec("lorr", n=2, D=6, rank=1),
+                 inst_prior=_instance(itd.LowRankBilinear(M, 1), post_norm="col_softmax"))
+
+
 def _two_layer():
     first = md.LayerConfig([_kernel_head(), _tanh_constant_post_head()])
     # a kernel here would read a gradient-carrying input, which train refuses
@@ -126,6 +135,8 @@ CASES = {
     "learned_prior_inst_post_kernel": (lambda: _single(_learned_prior_head()), "mse",
                                        {"kind": "sgd", "lr": 0.05}),
     "two_layers": (_two_layer, "cross_entropy", {"kind": "adaptive_moments", "lr": 0.05}),
+    "deferred_learned_prior": (lambda: _single(_deferred_prior_head()), "mse",
+                               {"kind": "sgd", "lr": 0.05, "momentum": 0.9}),
 }
 
 
@@ -151,6 +162,7 @@ def test_folded_training_is_byte_identical_to_unfolded(name):
     ("tanh_input_constant_post", {(0, 0), (0, 0, "input")}, 0),
     ("learned_prior_inst_post_kernel", {(0, 0, "input"), (0, 0, "inst_post")}, 1),
     ("two_layers", {(0, 0), (0, 1), (0, 1, "input")}, 1),
+    ("deferred_learned_prior", {(0, 0)}, 0),
 ])
 def test_fold_keeps_layer0_constants_only(name, keys, kernel_builds, monkeypatch):
     build, loss, opt = CASES[name]
