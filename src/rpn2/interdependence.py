@@ -9,6 +9,10 @@ that stored.T left-multiplies the batch; structural chain matrices therefore
 keep their ones on the superdiagonal while the applied matrix is the
 subdiagonal shift, and graph matrices store the transpose of the normalized
 adjacency. Parametric matrices are fabricated by `reconciliation` (`_fabric`).
+
+`build_node` is the one dispatcher over the variants. Structure is resolved
+once per spec, off the tape (`_resolved_matrix`); every other variant is
+built on the tape and post-normalized there (`post_norm_node`).
 """
 
 from dataclasses import dataclass, field
@@ -489,56 +493,33 @@ def apply_post_norm(a, post_norm, norm_r=1):
         return post_norm_node(tape.constant(as_dense(a)), post_norm, norm_r).value
 
 
-def _fixed_matrix(spec, x):
-    """Post-normalized matrix of a parameter-free spec, built off the tape.
-
-    Instance-axis specs dispatch on the transposed batch; graph matrices on
-    the instance axis are returned transposed so that the model's
-    stored.T @ X convention applies the natural propagation direction.
-    """
-    v = spec.variant
-    data = None
-    if x is not None:
-        data = np.asarray(x, dtype=float)
-        if spec.axis == "instance":
-            data = data.T
-    if isinstance(v, Constant):
-        a = v.matrix
-    elif isinstance(v, Identity):
-        a = np.eye(v.dim)
-    elif isinstance(v, StatKernel):
-        if data is None:
-            raise ValueError("statistical kernel needs a data batch")
-        a = statistical_kernel_matrix(data, v.kind)
-    elif isinstance(v, NumKernel):
-        if data is None:
-            raise ValueError("numerical kernel needs a data batch")
-        a = numerical_kernel_matrix(data, v.kind, v.params)
-    elif isinstance(v, GridStructural):
-        a = grid_structural_matrix(v.grid, v.shape, v.packing, v.mode)
-    elif isinstance(v, ChainStructural):
-        a = chain_structural_matrix(v.length, v.direction, v.variant, v.hops,
-                                    v.include_self)
-    elif isinstance(v, GraphStructural):
-        a = graph_structural_matrix(v.graph, v.variant, v.hops, v.alpha,
-                                    v.normalization)
-        if spec.axis == "instance":
-            a = a.T
-    else:
-        raise TypeError("unknown interdependence variant %r" % (v,))
-    return apply_post_norm(a, spec.post_norm, spec.norm_r)
-
-
 # parameter-free variants that read no data: their matrix is structure
 _RESOLVED = (Identity, GridStructural, ChainStructural, GraphStructural)
+_KERNELS = (StatKernel, NumKernel)
+
+
+def _structure_matrix(spec):
+    """Raw matrix of a `_RESOLVED` spec. A graph on the instance axis is
+    returned transposed, so that the model's stored.T @ X convention applies
+    the natural propagation direction."""
+    v = spec.variant
+    if isinstance(v, Identity):
+        return np.eye(v.dim)
+    if isinstance(v, GridStructural):
+        return grid_structural_matrix(v.grid, v.shape, v.packing, v.mode)
+    if isinstance(v, ChainStructural):
+        return chain_structural_matrix(v.length, v.direction, v.variant, v.hops,
+                                       v.include_self)
+    a = graph_structural_matrix(v.graph, v.variant, v.hops, v.alpha, v.normalization)
+    return a.T if spec.axis == "instance" else a
 
 
 def _resolved_matrix(spec):
-    """`_fixed_matrix` of a `_RESOLVED` spec, built on first use and kept on
-    the frozen spec, read-only. Its structure is frozen too: a `Graph` is
-    fixed at construction."""
+    """Post-normalized `_structure_matrix` of a `_RESOLVED` spec, built on
+    first use and kept on the frozen spec, read-only. Its structure is frozen
+    too: a `Graph` is fixed at construction."""
     if "_resolved" not in spec.__dict__:
-        a = _fixed_matrix(spec, None)
+        a = apply_post_norm(_structure_matrix(spec), spec.post_norm, spec.norm_r)
         if not isinstance(a, SparseCoo):
             a.flags.writeable = False
         object.__setattr__(spec, "_resolved", a)
@@ -546,36 +527,47 @@ def _resolved_matrix(spec):
 
 
 def build_node(spec, x_node, param_node):
-    """Relation matrix of any spec as a tape node.
+    """Relation matrix of any spec as a tape node; the one dispatcher over
+    the variants.
 
-    Parametric variants and hybrids are differentiated in their parameters
-    and in the data they read; `RpnHead` expands its data through
-    `transformation.expand_node`, and a `Hybrid` builds each child here and
-    fuses them with `fusion.fuse_nodes`. Parameter-free variants are
-    constants, and a sparse one is returned as the `SparseCoo` itself. A
-    kernel (`StatKernel`, `NumKernel`) is numpy-only and value-only in the
-    data it reads (`Tape.value_only`): on a gradient-carrying input it
-    drops that gradient, and `train` refuses such a config. Structure
-    (`_RESOLVED`) is resolved once per spec; kernels and `Constant` are
-    read on every call. x_node may be None for variants that ignore the
-    data, param_node for parameter-free specs.
+    Structure (`_RESOLVED`) is resolved once per spec, off the tape; every
+    other variant is built here on each call and leaves through
+    `post_norm_node`. A sparse matrix (kept structure, or a `Constant` with
+    no post_norm) is returned as the `SparseCoo` itself. Instance-axis specs
+    read the transposed batch. Parametric variants and hybrids are
+    differentiated in their parameters and in the data they read: `RpnHead`
+    expands its data (`transformation.expand_node`) and multiplies it
+    through `reconciliation.reconciled_product`; a `Hybrid` fuses its
+    children (`fusion.fuse_nodes`). A kernel is value-only in the data it
+    reads (`Tape.value_only`): on a gradient-carrying input it drops that
+    gradient, and `train` refuses such a config. x_node may be None for
+    variants that ignore the data, param_node for parameter-free specs.
     """
     tape = (x_node if x_node is not None else param_node).tape
     v = spec.variant
-    if not isinstance(v, (Parameterized, Bilinear, LowRankBilinear, RpnHead, Hybrid)):
-        a = _resolved_matrix(spec) if isinstance(v, _RESOLVED) else \
-            _fixed_matrix(spec, None if x_node is None else x_node.value)
-        if isinstance(a, SparseCoo):
-            return a
-        reads = [x_node] if isinstance(v, (StatKernel, NumKernel)) else []
-        return tape.value_only(a, reads, "data kernel")
-    if param_node is None:
-        param_node = tape.constant(np.zeros(0))
-    if isinstance(v, (Bilinear, LowRankBilinear, RpnHead)):
+    if isinstance(v, _RESOLVED):
+        a = _resolved_matrix(spec)
+        return a if isinstance(a, SparseCoo) else tape.constant(a)
+    if isinstance(v, Constant) and isinstance(v.matrix, SparseCoo) and spec.post_norm == "none":
+        return v.matrix
+    if isinstance(v, _KERNELS + (Bilinear, LowRankBilinear, RpnHead)):
         if x_node is None:
             raise ValueError("%s interdependence needs a data batch" % type(v).__name__)
-        data = x_node.transpose() if spec.axis == "instance" else x_node
-    if isinstance(v, Parameterized):
+        # kernels read the value alone and add no transpose node
+        data = x_node.value if isinstance(v, _KERNELS) else x_node
+        if spec.axis == "instance":
+            data = data.transpose()
+    if param_node is None and isinstance(v, (Parameterized, Bilinear, LowRankBilinear, RpnHead,
+                                             Hybrid)):
+        param_node = tape.constant(np.zeros(0))
+    if isinstance(v, Constant):
+        a = tape.constant(as_dense(v.matrix))
+    elif isinstance(v, StatKernel):
+        a = tape.value_only(statistical_kernel_matrix(data, v.kind), [x_node], "data kernel")
+    elif isinstance(v, NumKernel):
+        a = tape.value_only(numerical_kernel_matrix(data, v.kind, v.params), [x_node],
+                            "data kernel")
+    elif isinstance(v, Parameterized):
         a = rc.reconcile_node(_fabric(v), param_node)
     elif isinstance(v, Bilinear):
         a = data.transpose().matmul(rc.reconcile_node(_fabric(v), param_node)).matmul(data)
@@ -586,14 +578,11 @@ def build_node(spec, x_node, param_node):
     elif isinstance(v, RpnHead):
         # xi(X|w) = <kappa'(flatten(X)), psi'(w')> + pi', reshaped m x m_prime
         flat = tf.expand_node(data.reshape((1, -1)), v.expansion)
-        if flat.shape[1] != v.reconciliation.D:
-            raise ValueError("RpnHead expands the batch to width %d, but its "
-                             "reconciliation has D = %d" % (flat.shape[1], v.reconciliation.D))
-        a = flat.matmul(rc.reconcile_node(v.reconciliation, param_node).transpose())
+        a = rc.reconciled_product(flat, v.reconciliation, param_node)
         if v.remainder is not None:
             a = a + np.asarray(v.remainder, dtype=float).reshape(1, -1)
         a = a.reshape((v.m, v.m_prime))
-    else:  # Hybrid: children built on the tape, then fused
+    elif isinstance(v, Hybrid):  # children built on the tape, then fused
         mats, used = [], 0
         for child in v.variants:
             if not isinstance(child, InterdependenceSpec):
@@ -603,6 +592,8 @@ def build_node(spec, x_node, param_node):
             mats.append(tape.constant(a.to_dense()) if isinstance(a, SparseCoo) else a)
             used += need
         a = fu.fuse_nodes(mats, v.fusion)
+    else:
+        raise TypeError("unknown interdependence variant %r" % (v,))
     return post_norm_node(a, spec.post_norm, spec.norm_r)
 
 

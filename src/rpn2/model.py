@@ -236,6 +236,9 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None, memo=None):
             return kept((k, h, tag), itd.build_node, spec, x_station, pnode)
         return itd.build_node(spec, x_station, pnode)
 
+    if x_node.shape[1] != head.m:
+        raise ValueError("head l%d.h%d declares m = %d, but its input is %d wide"
+                         % (k, h, head.m, x_node.shape[1]))
     proc = check_processor(head.processors.get("input"))
     x_station = x_node if proc is None else kept((k, h, "input"), proc, x_node)
     recon = head.reconciliation
@@ -287,7 +290,7 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None, memo=None):
         w_pi = param_nodes["l%d.h%d.pi" % (k, h)]
         out = out + x_station.matmul(w_pi)
     elif head.remainder != "zero":
-        raise ValueError("unknown remainder %r" % head.remainder)
+        raise ValueError("head l%d.h%d: unknown remainder %r" % (k, h, head.remainder))
     return _apply_processor(out, head.processors.get("output"))
 
 

@@ -107,14 +107,42 @@ def test_init_store_names_a_head_whose_n_is_not_its_fused_width(n, fusion, remai
 
 
 def test_the_identity_remainder_checks_the_real_shapes():
-    # m = n = 1 once passed the check, and the (8, 1) output broadcast
+    # n = 1 once passed the check, and the (8, 1) output broadcast
     # across the 8 x 3 input to (8, 3)
-    head = md.HeadConfig(m=1, n=1, expansion=tf.ExpansionSpec("identity"),
+    head = md.HeadConfig(m=3, n=1, expansion=tf.ExpansionSpec("identity"),
                          reconciliation=rc.ReconciliationSpec("identity", n=1, D=3),
                          remainder="identity")
     model = md.ModelConfig([md.LayerConfig([head])])
     with pytest.raises(ValueError, match=r"head l0\.h0: an identity remainder .*\(8, 3\), "
                                          r"got \(8, 1\)"):
+        md.model_forward(X, model, md.init_store(model, 0))
+
+
+@pytest.mark.parametrize("remainder", ["zero", "identity", "linear"])
+def test_a_head_whose_m_is_not_its_input_width_is_named(remainder):
+    # m = 5 on a 2-wide input once forwarded silently (m only sized the init
+    # scale and pi); with a linear remainder it failed inside the tape with a
+    # matmul mismatch that named no head
+    def head(m):
+        return md.HeadConfig(m=m, n=2, expansion=tf.ExpansionSpec("identity"),
+                             reconciliation=rc.ReconciliationSpec("identity", n=2, D=2),
+                             remainder=remainder)
+
+    model = md.ModelConfig([md.LayerConfig([_head(2, 1, fu.FusionSpec("sum"))]),
+                            md.LayerConfig([head(2), head(5)])])
+    store = md.init_store(model, 0)
+    with pytest.raises(ValueError, match=r"head l1\.h1 declares m = 5, but its input is 2 "
+                                         r"wide"):
+        md.model_forward(X, model, store)
+    with pytest.raises(ValueError, match=r"head l0\.h0 declares m = 3, but its input is 4 "
+                                         r"wide"):
+        md.model_forward(np.ones((8, 4)), model, store)
+
+
+def test_an_unknown_remainder_is_named_with_its_head():
+    model = md.ModelConfig([md.LayerConfig([_head(RECON_N, 1, fu.FusionSpec("sum")),
+                                            _head(RECON_N, 1, fu.FusionSpec("sum"), "skip")])])
+    with pytest.raises(ValueError, match=r"head l0\.h1: unknown remainder 'skip'"):
         md.model_forward(X, model, md.init_store(model, 0))
 
 

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from rpn2 import grid_geometry as gg
 from rpn2 import interdependence as itd
 from rpn2.fusion import FusionSpec
-from rpn2.numeric_core import SingularMatrixError, SparseCoo, as_dense, matrix_exp, solve
+from rpn2.numeric_core import (SingularMatrixError, SparseCoo, Tape, as_dense, matrix_exp,
+                                solve)
 
 
 def _spec(variant, **kw):
@@ -644,6 +645,75 @@ def test_rpn_head_rejects_batch_of_another_flat_width():
         "m", "m_prime", "expansion", "reconciliation", "remainder"]
     w = np.ones(72)
     assert itd.build_matrix(head, np.ones((2, 3)), w).shape == (3, 4)
-    with pytest.raises(ValueError, match="expands the batch to width 9, but its "
-                                         "reconciliation has D = 6"):
+    with pytest.raises(ValueError, match="expanded width 9 != declared D 6"):
         itd.build_matrix(head, np.ones((3, 3)), w)
+
+
+# ---------------------------------------------------------------------------
+# the one dispatcher: errors, RpnHead through reconciled_product, kernel cuts
+
+
+@pytest.mark.parametrize("variant", [itd.StatKernel("pearson"), itd.NumKernel("linear")])
+@pytest.mark.parametrize("axis", ["attribute", "instance"])
+def test_a_kernel_without_a_batch_names_its_variant(variant, axis):
+    with pytest.raises(ValueError, match="%s interdependence needs a data batch"
+                                         % type(variant).__name__):
+        itd.build_matrix(_spec(variant, axis=axis))
+
+
+@pytest.mark.parametrize("x", [None, np.ones((3, 2))])
+def test_an_unknown_variant_is_a_type_error(x):
+    with pytest.raises(TypeError, match="unknown interdependence variant 'eye'"):
+        itd.build_matrix(_spec("eye"), x)
+
+
+def test_rpn_head_adds_its_remainder_before_the_reshape():
+    from rpn2.reconciliation import ReconciliationSpec
+    from rpn2.transformation import ExpansionSpec
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((2, 3))
+    w = rng.standard_normal(12 * 6)
+    pi = rng.standard_normal((3, 4))
+    recon = ReconciliationSpec("identity", n=12, D=6)
+    bare = itd.build_matrix(_spec(itd.RpnHead(3, 4, ExpansionSpec("identity"), recon)), x, w)
+    got = itd.build_matrix(_spec(itd.RpnHead(3, 4, ExpansionSpec("identity"), recon,
+                                             remainder=pi.reshape(-1))), x, w)
+    assert np.array_equal(got, (bare.reshape(1, -1) + pi.reshape(1, -1)).reshape(3, 4))
+    assert np.array_equal(got, bare + pi)
+
+
+@pytest.mark.parametrize("method", ["lorr", "vera"])
+@pytest.mark.parametrize("axis", ["attribute", "instance"])
+def test_low_rank_rpn_head_matches_the_fabricated_psi(method, axis):
+    # reconciled_product runs lorr and vera through their factors; the oracle
+    # multiplies by the n x D psi that reconcile_node fabricates
+    from rpn2 import reconciliation as rc
+    from rpn2.transformation import ExpansionSpec, expand_node
+    rng = np.random.default_rng(13)
+    x = rng.standard_normal((4, 3))
+    expansion = ExpansionSpec("hermite", d=2)
+    with Tape() as tape:
+        data = tape.constant(x.T if axis == "instance" else x)
+        flat = expand_node(data.reshape((1, -1)), expansion).value
+    recon = rc.ReconciliationSpec(method, n=12, D=flat.shape[1], rank=2,
+                                  seed=5 if method == "vera" else 0)
+    w = rng.standard_normal(rc.param_length(recon))
+    got = itd.build_matrix(_spec(itd.RpnHead(3, 4, expansion, recon), axis=axis), x, w)
+    want = (flat @ rc.reconcile(recon, w).T).reshape(3, 4)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("variant", [itd.StatKernel("pearson"), itd.NumKernel("cosine")])
+@pytest.mark.parametrize("axis", ["attribute", "instance"])
+def test_a_kernel_on_a_gradient_carrying_input_is_a_cut(variant, axis):
+    x = np.sin(np.arange(12.0)).reshape(4, 3)
+    with Tape() as tape:
+        count = len(tape.nodes)
+        a = itd.build_node(_spec(variant, axis=axis), tape.constant(x), None)
+        assert len(tape.nodes) == count + 2  # the input and the matrix
+        assert not a.needs_grad and tape.cuts == []
+        p = tape.parameter(x)
+        a = itd.build_node(_spec(variant, axis=axis, post_norm="row_l1"), p * 2.0, None)
+        assert not a.needs_grad and tape.cuts == ["data kernel"]
+        want = itd.build_matrix(_spec(variant, axis=axis, post_norm="row_l1"), 2.0 * x)
+        assert np.array_equal(a.value, want)

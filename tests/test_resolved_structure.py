@@ -1,7 +1,9 @@
 """Parameter-free structure is resolved once per spec: the kept matrix equals
 a fresh build, is built once across forwards and epochs, and is read-only,
-and a graph cannot be edited after it is built. Also: the sparse product plan and
-the lifetime of finished tapes."""
+and a graph cannot be edited after it is built. Every parameter-free variant
+(structure, constants and kernels) builds the bytes of the former off-tape
+dispatcher, kept here as the oracle. Also: the sparse product plan and the
+lifetime of finished tapes."""
 
 import dataclasses
 import gc
@@ -16,7 +18,55 @@ from rpn2 import interdependence as itd
 from rpn2 import model as md
 from rpn2 import reconciliation as rc
 from rpn2 import transformation as tf
+from rpn2.interdependence import (ChainStructural, Constant, GraphStructural, GridStructural,
+                                  Identity, NumKernel, StatKernel, apply_post_norm,
+                                  chain_structural_matrix, graph_structural_matrix,
+                                  grid_structural_matrix, numerical_kernel_matrix,
+                                  statistical_kernel_matrix)
 from rpn2.numeric_core import SparseCoo, Tape
+
+
+# the off-tape dispatcher over the parameter-free variants that
+# `interdependence.build_node` once fell through to, kept unchanged
+def _fixed_matrix_oracle(spec, x):
+    """Post-normalized matrix of a parameter-free spec, built off the tape.
+
+    Instance-axis specs dispatch on the transposed batch; graph matrices on
+    the instance axis are returned transposed so that the model's
+    stored.T @ X convention applies the natural propagation direction.
+    """
+    v = spec.variant
+    data = None
+    if x is not None:
+        data = np.asarray(x, dtype=float)
+        if spec.axis == "instance":
+            data = data.T
+    if isinstance(v, Constant):
+        a = v.matrix
+    elif isinstance(v, Identity):
+        a = np.eye(v.dim)
+    elif isinstance(v, StatKernel):
+        if data is None:
+            raise ValueError("statistical kernel needs a data batch")
+        a = statistical_kernel_matrix(data, v.kind)
+    elif isinstance(v, NumKernel):
+        if data is None:
+            raise ValueError("numerical kernel needs a data batch")
+        a = numerical_kernel_matrix(data, v.kind, v.params)
+    elif isinstance(v, GridStructural):
+        a = grid_structural_matrix(v.grid, v.shape, v.packing, v.mode)
+    elif isinstance(v, ChainStructural):
+        a = chain_structural_matrix(v.length, v.direction, v.variant, v.hops,
+                                    v.include_self)
+    elif isinstance(v, GraphStructural):
+        a = graph_structural_matrix(v.graph, v.variant, v.hops, v.alpha,
+                                    v.normalization)
+        if spec.axis == "instance":
+            a = a.T
+    else:
+        raise TypeError("unknown interdependence variant %r" % (v,))
+    return apply_post_norm(a, spec.post_norm, spec.norm_r)
+
 
 POST_NORMS = ("none", "row_l1", "col_l1", "col_softmax", "scaled_col_softmax")
 GRID = gg.GridSpec(3, 3, 2)
@@ -58,9 +108,47 @@ def test_resolved_matrix_is_a_fresh_build(name):
             first = itd.build_matrix(spec)
             again = itd.build_matrix(spec)
             assert again is first
-            fresh = itd._fixed_matrix(
+            fresh = _fixed_matrix_oracle(
                 itd.InterdependenceSpec(VARIANTS[name](), axis, post_norm, 4), None)
             assert _bytes(first) == _bytes(fresh), (post_norm, axis)
+
+
+X = np.abs(np.sin(np.arange(20.0))).reshape(5, 4) + 0.1  # kl needs no negative entry
+
+
+def _free_variants(rows):
+    """Every constant and kernel, for a batch whose dispatched input has
+    `rows` rows (anisotropic_rbf weighs each of them)."""
+    dim = X.shape[1] if rows == X.shape[0] else X.shape[0]
+    c = np.cos(np.arange(dim * dim, dtype=float)).reshape(dim, dim)
+    return {
+        "constant dense": itd.Constant(c),
+        "constant sparse": itd.Constant(SparseCoo.from_dense(np.where(c > 0, c, 0.0))),
+        **{"stat %s" % k: itd.StatKernel(k) for k in ("kl", "pearson", "rv", "mutual_info")},
+        **{"num %s" % k: itd.NumKernel(k, p) for k, p in (
+            ("linear", {}), ("polynomial", {"c": 0.5, "d": 3}), ("tanh", {"alpha": 0.3}),
+            ("exponential", {"gamma": 0.7}), ("cosine", {}), ("minkowski", {"p": 3}),
+            ("gaussian_rbf", {"sigma": 2.0}), ("laplacian", {"sigma": 0.5}),
+            ("anisotropic_rbf", {"a": np.linspace(0.1, 1.0, rows)}),
+            ("hybrid", {"k1": "linear", "k2": "cosine", "alpha": 0.3, "beta": 0.7}))},
+    }
+
+
+@pytest.mark.parametrize("axis", ["attribute", "instance"])
+def test_constants_and_kernels_build_the_oracle_bytes(axis):
+    rows = X.shape[0] if axis == "attribute" else X.shape[1]
+    names = sorted(_free_variants(rows))
+    assert len(names) == 16
+    for name in names:
+        for post_norm in POST_NORMS:
+            variant = _free_variants(rows)[name]
+            spec = itd.InterdependenceSpec(variant, axis, post_norm, 4)
+            got = itd.build_matrix(spec, X)
+            want = _fixed_matrix_oracle(spec, X)
+            assert _bytes(got) == _bytes(want), (name, post_norm)
+            if post_norm == "none" and name.startswith("constant"):
+                assert got is variant.matrix
+            assert "_resolved" not in vars(spec)
 
 
 def test_resolved_arrays_are_read_only():
@@ -100,7 +188,7 @@ def _structure_model(b):
     grid_spec = itd.InterdependenceSpec(itd.GridStructural(
         grid, gg.Cuboid(0, 1, 0, 1, 0, 0), gg.PackingSpec(1.0, 1.0, 1.0, clip_out_of_grid=True),
         "aggregation"), post_norm="col_l1")
-    width = itd._fixed_matrix(grid_spec, None).shape[1]
+    width = _fixed_matrix_oracle(grid_spec, None).shape[1]
 
     def head(D, **interdep):
         return md.HeadConfig(m=8, n=3, expansion=tf.ExpansionSpec("identity"),

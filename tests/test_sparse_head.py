@@ -96,7 +96,8 @@ def test_wrong_batch_width_is_a_value_error():
     store = md.ParameterStore()
     store.add_slot("l0.h0.c0.psi", (p,), np.ones(p))
     for width in (grid.size - 1, grid.size + 3):
-        with pytest.raises(ValueError, match="dimension mismatch"):
+        with pytest.raises(ValueError, match=r"head l0\.h0 declares m = %d, but its input "
+                                             r"is %d wide" % (grid.size, width)):
             md.model_forward(np.ones((2, width)), model, store)
     s = itd.grid_structural_matrix(grid, gg.Cuboid(1, 1, 1, 1, 0, 0), gg.PackingSpec())
     with pytest.raises(ValueError):
