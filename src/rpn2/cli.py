@@ -3,22 +3,24 @@
 Commands: gen-data, build-matrix, train, equiv, diagnose. Each takes a JSON
 config (--config), an optional output path (--out) and an optional seed
 override (--seed). Configs are schema-checked; unknown keys are rejected.
+The model, matrix and dataset keys are the library's parameters (`_call`).
 """
 
 import argparse
+import dataclasses
+import inspect
 import json
 import sys
+import typing
+from typing import Literal, Union
 
 import numpy as np
 
 from . import backbone_equiv as be
 from . import datasets as ds
-from . import fusion as fu
 from . import grid_geometry as gg
 from . import interdependence as itd
 from . import model as md
-from . import reconciliation as rc
-from . import transformation as tf
 from .numeric_core import Prng, SparseCoo
 
 
@@ -32,9 +34,6 @@ def _check_keys(obj, allowed, path):
             raise ConfigError("unknown key %r at %s" % (key, path or "top level"))
 
 
-_REQUIRED = object()
-
-
 def _number(value, kind):
     """value as int or float: a number or a string that `kind` parses, never
     a boolean, and an int only from an integral number."""
@@ -44,46 +43,132 @@ def _number(value, kind):
     return kind(value)
 
 
-def _edge_list(value):
-    return [(_number(u, int), _number(v, int)) for u, v in value]
+def _convert(value, kind):
+    """value as `kind` (a Literal one of its values, a tuple from a list) or an error."""
+    if kind in (int, float):
+        return _number(value, kind)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if (origin is Literal and value in args
+            or origin is None and isinstance(value, kind)):
+        return value
+    if origin is tuple:  # tuple[x, ...] or a fixed tuple[x, y]
+        kinds = args[:1] * len(value) if args[-1] is Ellipsis else args
+        if isinstance(value, list) and len(kinds) == len(value):
+            return tuple(map(_convert, value, kinds))
+    raise ValueError(value)
 
 
 _KINDS = {int: "an integer", float: "a number", bool: "a boolean", str: "a string",
-          list: "a list", dict: "an object", _edge_list: "a list of [u, v] pairs"}
+          list: "a list", dict: "an object", tuple[float, ...]: "a list of numbers",
+          tuple[tuple[int, int], ...]: "a list of [u, v] pairs"}
 
 
 def _as(value, kind, what):
-    """value as `kind`: int, float and the edge list convert by `_number`;
-    bool, str, list and dict check the JSON type. A value of the wrong type
-    is a ConfigError naming `what` it is."""
+    """value as `kind` (`_convert`), or a ConfigError naming `what` it is."""
     try:
-        if kind in (int, float):
-            return _number(value, kind)
-        if kind is _edge_list:
-            return _edge_list(value)
-        if isinstance(value, kind):
-            return value
+        return _convert(value, kind)
     except (TypeError, ValueError, OverflowError):
         pass
-    raise ConfigError("%s must be %s, got %r" % (what, _KINDS[kind], value))
+    name = (_KINDS[kind] if typing.get_origin(kind) is not Literal else
+            "one of %s" % ", ".join(map(repr, typing.get_args(kind))))
+    raise ConfigError("%s must be %s, got %r" % (what, name, value))
 
 
-def _get(obj, key, path, kind, default=_REQUIRED):
-    """Config value obj[key] read as `kind` (see `_as`); a missing key gives
-    the default, or a ConfigError when there is none."""
+def _get(obj, key, path, kind, *default):
+    """obj[key] read as `kind` (`_as`); a missing key gives the default, if any."""
     where = path or "top level"
     if key not in obj:
-        if default is _REQUIRED:
+        if not default:
             raise ConfigError("missing key %r at %s" % (key, where))
-        return default
+        return default[0]
     return _as(obj[key], kind, "key %r at %s" % (key, where))
 
 
-def _fields(obj, fields, path, other=()):
-    """{key: value} of obj's (key, kind, default) fields. Keys that are not
-    fields or in `other` are rejected."""
-    _check_keys(obj, {key for key, _, _ in fields} | set(other), path)
-    return {key: _get(obj, key, path, kind, default) for key, kind, default in fields}
+_SIGNATURES = {}  # callable -> its `_params`, reflected once
+
+
+def _params(fn):
+    """{key: (type, required)} of a callable's config keys: its parameters,
+    but init-only ones, each typed by its annotation or else by its default."""
+    if fn not in _SIGNATURES:
+        hints = typing.get_type_hints(fn)
+        _SIGNATURES[fn] = {name: (hints.get(name, type(p.default)), p.default is p.empty)
+                           for name, p in inspect.signature(fn).parameters.items()
+                           if not isinstance(hints.get(name), dataclasses.InitVar)}
+    return _SIGNATURES[fn]
+
+
+# union tag -> class. Constant and RpnHead hold arrays, so no config names them.
+_TAGS = {"identity": itd.Identity, "stat_kernel": itd.StatKernel, "num_kernel": itd.NumKernel,
+         "parameterized": itd.Parameterized, "bilinear": itd.Bilinear,
+         "lowrank_bilinear": itd.LowRankBilinear, "grid": itd.GridStructural,
+         "chain": itd.ChainStructural, "graph": itd.GraphStructural, "hybrid": itd.Hybrid,
+         "cuboid": gg.Cuboid, "cylinder": gg.Cylinder, "sphere": gg.Sphere}
+
+
+def _call(fn, obj, path, **fixed):
+    """fn called with the config object obj at key path `path`: its keys are
+    fn's parameters (`_params`), read by type (`_read`), and those with no
+    default are required. The `fixed` arguments are the caller's, not keys."""
+    params = _params(fn)
+    _check_keys(obj, params.keys() - fixed.keys(), path)
+    for key, (kind, required) in params.items():
+        if key in obj:
+            fixed[key] = _read(obj[key], kind, "%s.%s" % (path, key),
+                               "key %r at %s" % (key, path))
+        elif required and key not in fixed:
+            raise ConfigError("missing key %r at %s" % (key, path))
+    if not isinstance(fn, type):  # a builder: what it raises is its own
+        return fn(**fixed)
+    try:
+        return fn(**fixed)
+    except IndexError as e:  # a Graph's value rule names the edge outside its nodes
+        raise ConfigError("%s.%s" % (path, e))
+
+
+def _interdependence(value, path, what):
+    """A head station's InterdependenceSpec, on the station's axis. A `variant`
+    that is a tag string is the flat form: the variant's keys sit beside it."""
+    obj = _as(value, dict, what)
+    if isinstance(obj.get("variant"), str):
+        keys = _params(itd.InterdependenceSpec)
+        obj = dict({k: v for k, v in obj.items() if k in keys},
+                   variant={obj["variant"]: {k: v for k, v in obj.items() if k not in keys}})
+    axis = "instance" if path.rsplit(".", 1)[-1].startswith("inst_") else "attribute"
+    return _call(itd.InterdependenceSpec, obj, path, axis=axis)
+
+
+def _read(value, kind, path, what):
+    """A config value read as `kind` at key path `path`; `what` names it in
+    messages. A bare string where a dataclass belongs sets its first field."""
+    if kind is itd.InterdependenceSpec:
+        return _interdependence(value, path, what)
+    if dataclasses.is_dataclass(kind):
+        if isinstance(value, str):
+            value = {next(iter(_params(kind))): value}
+        return _call(kind, _as(value, dict, what), path)
+    origin, args = typing.get_origin(kind), typing.get_args(kind)
+    if origin is Union:  # {tag: {...}}
+        obj = _as(value, dict, what)
+        tags = {tag: cls for tag, cls in _TAGS.items() if cls in args}
+        if len(obj) != 1 or next(iter(obj)) not in tags:
+            raise ConfigError("%s takes one tag, one of %s; got %s"
+                              % (path, ", ".join(tags), ", ".join(map(repr, obj)) or "none"))
+        (tag, body), = obj.items()
+        return _read(body, tags[tag], "%s.%s" % (path, tag), "key %r at %s" % (tag, path))
+    if origin in (list, tuple) and kind not in _KINDS:  # a list of objects
+        return origin(_read(item, args[0], "%s[%d]" % (path, i), "%s[%d]" % (path, i))
+                      for i, item in enumerate(_as(value, list, what)))
+    if origin is dict:  # its keys are a Literal's values
+        obj = _as(value, dict, what)
+        _check_keys(obj, typing.get_args(args[0]), path)
+        return {key: _read(item, args[1], "%s.%s" % (path, key), "key %r at %s" % (key, path))
+                for key, item in obj.items()}
+    return _as(value, kind, what)
+
+
+def model_from_config(cfg):
+    return _call(md.ModelConfig, cfg, "model")
 
 
 def _load_config(path):
@@ -102,24 +187,15 @@ def _write_csv(path, header, rows):
 # gen-data
 
 
-# fields of each dataset kind, named after a `datasets` function and its arguments
-_DATASET_FIELDS = {
-    "two_moons": (("n", int, 200), ("noise", float, 0.1)),
-    "chain_series": (("m", int, 32), ("b", int, 16)),
-    "grid_images": (("h", int, 8), ("w", int, 8), ("d", int, 3), ("b", int, 4)),
-    "random_graph": (("n_v", int, 10), ("edge_prob", float, 0.3),
-                     ("feature_dim", int, 4), ("classes", int, 2)),
-}
-
-
 def generate_dataset(spec, seed_override=None):
+    """The dataset of a `datasets` function, named by the kind; its arguments are the keys."""
     kind = _get(spec, "kind", "data", str)
-    if kind not in _DATASET_FIELDS:
+    fn = getattr(ds, kind, None)
+    if not inspect.isfunction(fn):
         raise ConfigError("unknown dataset kind %r" % kind)
-    args = _fields(spec, _DATASET_FIELDS[kind], "data", ("kind", "seed"))
-    args["seed"] = (seed_override if seed_override is not None
-                    else _get(spec, "seed", "data", int, 0))
-    return getattr(ds, kind)(**args)
+    fixed = {} if seed_override is None else {"seed": seed_override}
+    args = {key: v for key, v in spec.items() if key != "kind" and key not in fixed}
+    return _call(fn, args, "data", **fixed)
 
 
 def cmd_gen_data(config, out, seed_override=None):
@@ -152,44 +228,32 @@ def cmd_gen_data(config, out, seed_override=None):
 # build-matrix
 
 
-_MATRIX_FIELDS = {
-    "identity": (("m", int, _REQUIRED),),
-    "chain": (("m", int, _REQUIRED), ("direction", str, "uni"), ("variant", str, "onehop"),
-              ("hops", int, 1), ("include_self", bool, False)),
-    "graph": (("n_nodes", int, _REQUIRED), ("edges", _edge_list, []),
-              ("variant", str, "adjacency"), ("hops", int, 1), ("alpha", float, 0.15),
-              ("normalization", str, "none")),
-    "grid": (("h", int, 8), ("w", int, 8), ("d", int, 1), ("shape", dict, {}),
-             ("packing", dict, {}), ("mode", str, "padding")),
-}
-_SHAPE_FIELDS = tuple((key, int, 1) for key in ("p_h", "p_h2", "p_w", "p_w2", "p_d", "p_d2"))
-_PACKING_FIELDS = (("d_h", float, 1.0), ("d_w", float, 1.0), ("d_d", float, 1.0),
-                   ("strategy", str, ""), ("clip_out_of_grid", bool, False))
+def _identity_matrix(m: int):
+    return itd.chain_structural_coo(m, variant="multihop", hops=0)  # A^0 = I
+
+
+def _grid_matrix(h: int = 8, w: int = 8, d: int = 1, shape: dict = {},
+                 packing: gg.PackingSpec = gg.PackingSpec(), mode: str = "padding"):
+    """The grid matrix of a Cuboid patch; an extent that `shape` omits is 1."""
+    extents = dict(dict.fromkeys(_params(gg.Cuboid), 1), **shape)
+    return itd.grid_structural_matrix(gg.GridSpec(h, w, d),
+                                      _call(gg.Cuboid, extents, "matrix.shape"), packing, mode)
+
+
+_MATRICES = {"identity": _identity_matrix, "chain": itd.chain_structural_coo,
+             "graph": itd.graph_structural_matrix, "grid": _grid_matrix}
 
 
 def _matrix_from_config(spec):
     kind = _get(spec, "kind", "matrix", str)
-    if kind not in _MATRIX_FIELDS:
+    if kind not in _MATRICES:
         raise ConfigError("unknown matrix kind %r" % kind)
-    f = _fields(spec, _MATRIX_FIELDS[kind], "matrix", ("kind",))
-    if kind == "identity":
-        m = f["m"]
-        if m < 1:
-            raise ValueError("m must be >= 1")
-        return SparseCoo(m, m, np.arange(m), np.arange(m), np.ones(m))
-    if kind == "chain":
-        return itd.chain_structural_coo(**f)
-    if kind == "graph":
-        try:
-            graph = itd.Graph(f.pop("n_nodes"), f.pop("edges"))
-        except IndexError as e:
-            raise ConfigError("matrix.%s" % e)
-        return itd.graph_structural_matrix(graph, **f)
-    return itd.grid_structural_matrix(
-        gg.GridSpec(f["h"], f["w"], f["d"]),
-        gg.Cuboid(**_fields(f["shape"], _SHAPE_FIELDS, "matrix.shape")),
-        gg.PackingSpec(**_fields(f["packing"], _PACKING_FIELDS, "matrix.packing")),
-        f["mode"])
+    args = {key: v for key, v in spec.items() if key != "kind"}
+    fixed = {}
+    if kind == "graph":  # the Graph's keys sit beside the matrix's
+        fixed["graph"] = _call(itd.Graph, {key: args.pop(key) for key in _params(itd.Graph)
+                                           if key in args}, "matrix")
+    return _call(_MATRICES[kind], args, "matrix", **fixed)
 
 
 def cmd_build_matrix(config, out, seed_override=None):
@@ -209,85 +273,9 @@ def cmd_build_matrix(config, out, seed_override=None):
 
 
 # ---------------------------------------------------------------------------
-# model serialization (restricted schema)
-
-
-_HEAD_FIELDS = (("m", int, _REQUIRED), ("n", int, _REQUIRED), ("expansion", dict, {}),
-                ("reconciliation", dict, _REQUIRED), ("channels", int, 1),
-                ("remainder", str, "zero"), ("processors", dict, {}),
-                ("attr_prior", dict, None), ("inst_prior", dict, None))
-_EXPANSION_FIELDS = (("family", str, "identity"), ("d", int, 1), ("alpha", float, 0.5),
-                     ("wavelet", str, "haar"), ("s_max", int, 1), ("t_max", int, 1),
-                     ("a", float, 2.0), ("b", float, 1.0), ("order", int, 1))
-_RECONCILIATION_FIELDS = (
-    ("method", str, "identity"), ("n", int, _REQUIRED), ("D", int, _REQUIRED),
-    *((key, int, 0) for key in ("rank", "mid", "input_len", "seed")))
-_INTERDEP_FIELDS = (("variant", str, "identity"), ("post_norm", str, "none"),
-                    ("norm_r", int, 1))
-_INTERDEP_VARIANTS = {"identity": (itd.Identity, ("dim",)),
-                      "bilinear": (itd.Bilinear, ("dim",)),
-                      "lowrank_bilinear": (itd.LowRankBilinear, ("dim", "rank"))}
-
-
-def _interdep_from(cfg, axis):
-    f = _fields(cfg, _INTERDEP_FIELDS, "interdependence", ("dim", "rank"))
-    variant = f.pop("variant")
-    if variant not in _INTERDEP_VARIANTS:
-        raise ConfigError("unsupported interdependence variant %r" % variant)
-    make, sizes = _INTERDEP_VARIANTS[variant]
-    v = make(*(_get(cfg, key, "interdependence", int) for key in sizes))
-    return itd.InterdependenceSpec(v, axis=axis, **f)
-
-
-def _processors(cfg, path):
-    _check_keys(cfg, md.PROCESSOR_STATIONS, path)
-    for station, tag in cfg.items():
-        try:
-            md.check_processor(tag)
-        except ValueError as e:
-            raise ConfigError("%s.%s: %s" % (path, station, e))
-    return dict(cfg)
-
-
-# strategies a bare name configures: the config has no weights, target,
-# low_rank or metric keys, so weighted_sum and concat_linear cannot be expressed
-_HEAD_FUSIONS = ("average", "sum", "hadamard", "metric")
-
-
-def model_from_config(cfg):
-    _check_keys(cfg, {"layers"}, "model")
-    layers = []
-    for li, lcfg in enumerate(_get(cfg, "layers", "model", list)):
-        lpath = "model.layers[%d]" % li
-        lcfg = _as(lcfg, dict, lpath)
-        _check_keys(lcfg, {"heads", "head_fusion"}, lpath)
-        heads = []
-        for hi, hcfg in enumerate(_get(lcfg, "heads", lpath, list)):
-            hpath = "%s.heads[%d]" % (lpath, hi)
-            f = _fields(_as(hcfg, dict, hpath), _HEAD_FIELDS, hpath)
-            f["expansion"] = tf.ExpansionSpec(
-                **_fields(f["expansion"], _EXPANSION_FIELDS, "expansion"))
-            f["reconciliation"] = rc.ReconciliationSpec(
-                **_fields(f["reconciliation"], _RECONCILIATION_FIELDS, "reconciliation"))
-            for tag, axis in (("attr_prior", "attribute"), ("inst_prior", "instance")):
-                if f[tag] is not None:
-                    f[tag] = _interdep_from(f[tag], axis)
-            f["processors"] = _processors(f["processors"], hpath + ".processors")
-            heads.append(md.HeadConfig(**f))
-        strategy = _get(lcfg, "head_fusion", lpath, str, "average")
-        if strategy not in _HEAD_FUSIONS:
-            raise ConfigError(
-                "unsupported head_fusion %r at model.layers[%d]; expected one of %s"
-                % (strategy, li, ", ".join(_HEAD_FUSIONS)))
-        layers.append(md.LayerConfig(heads, fu.FusionSpec(strategy)))
-    return md.ModelConfig(layers)
-
-
-# ---------------------------------------------------------------------------
 # train
 
 
-_TRAIN_FIELDS = (("loss", str, None), ("optimizer", dict, {}), ("epochs", int, 100))
 _DEFAULT_LOSS = {"two_moons": "cross_entropy", "chain_series": "mse"}
 # optimizer keys that model.train reads; any other is rejected
 _OPTIMIZER_KINDS = {"kind": str, "lr": float, "momentum": float, "beta1": float,
@@ -297,24 +285,25 @@ _OPTIMIZER_KINDS = {"kind": str, "lr": float, "momentum": float, "beta1": float,
 def cmd_train(config, out, seed_override=None):
     _check_keys(config, {"model", "data", "train", "outputs"}, "")
     tcfg = _get(config, "train", "", dict, {})
-    t = _fields(tcfg, _TRAIN_FIELDS, "train", ("seed",))
-    _check_keys(t["optimizer"], _OPTIMIZER_KINDS, "train.optimizer")
+    _check_keys(tcfg, ("loss", "optimizer", "epochs", "seed"), "train")
+    opt = _get(tcfg, "optimizer", "train", dict, {})
+    _check_keys(opt, _OPTIMIZER_KINDS, "train.optimizer")
     seed = seed_override if seed_override is not None else _get(tcfg, "seed", "train", int, 0)
     model = model_from_config(_get(config, "model", "", dict))
     dspec = _get(config, "data", "", dict)
     kind = _get(dspec, "kind", "data", str)
     if kind not in _DEFAULT_LOSS:
         raise ConfigError("training supports two_moons and chain_series data")
+    outputs = _get(config, "outputs", "", dict, {})
+    _check_keys(outputs, ("metrics", "checkpoint"), "outputs")
+    paths = {key: _get(outputs, key, "outputs", str, (out or "train") + "." + key + suffix)
+             for key, suffix in (("metrics", ".csv"), ("checkpoint", ".json"))}
     x, y = generate_dataset(dspec)
     history, store = md.train(
-        model, x, y, loss=_DEFAULT_LOSS[kind] if t["loss"] is None else t["loss"],
-        optimizer={key: _get(t["optimizer"], key, "train.optimizer", key_kind)
-                   for key, key_kind in _OPTIMIZER_KINDS.items() if key in t["optimizer"]},
-        epochs=t["epochs"], seed=seed)
-    stem = out or "train"
-    paths = _fields(_get(config, "outputs", "", dict, {}),
-                    (("metrics", str, stem + ".metrics.csv"),
-                     ("checkpoint", str, stem + ".checkpoint.json")), "outputs")
+        model, x, y, loss=_get(tcfg, "loss", "train", str, _DEFAULT_LOSS[kind]),
+        optimizer={key: _get(opt, key, "train.optimizer", key_kind)
+                   for key, key_kind in _OPTIMIZER_KINDS.items() if key in opt},
+        epochs=_get(tcfg, "epochs", "train", int, 100), seed=seed)
     _write_csv(paths["metrics"], ["epoch", "loss", "metric"],
                [[e["epoch"], e["loss"], e["metric"]] for e in history.epochs])
     ckpt = {"config": config, "seed": seed,
@@ -358,17 +347,13 @@ def cmd_diagnose(config, out, seed_override=None):
     _check_keys(config, {"model", "data", "seed"}, "")
     model = model_from_config(_get(config, "model", "", dict))
     dspec = _get(config, "data", "", dict)
-    result = generate_dataset(dspec, seed_override)
     kind = _get(dspec, "kind", "data", str)
-    if kind in ("two_moons", "chain_series"):
-        x = result[0]
-    elif kind == "grid_images":
-        x = result
-    else:
+    if kind == "random_graph":
         raise ConfigError("diagnose supports two_moons, chain_series, grid_images")
+    result = generate_dataset(dspec, seed_override)
+    x = result if kind == "grid_images" else result[0]
     seed = seed_override if seed_override is not None else _get(config, "seed", "", int, 0)
-    store = md.init_store(model, seed)
-    report = md.diagnostics(model, x, store)
+    report = md.diagnostics(model, x, md.init_store(model, seed))
     text = json.dumps(report, indent=2, sort_keys=True)
     if out:
         with open(out, "w", encoding="utf-8") as fh:

@@ -13,10 +13,16 @@ from .numeric_core import Tape, as_dense, concat_nodes
 @dataclass(frozen=True)
 class FusionSpec:
     strategy: str  # weighted_sum | average | sum | metric | hadamard | concat_linear
-    weights: tuple = ()  # weighted_sum: one fixed weight per input; empty learns them
+    weights: tuple[float, ...] = ()  # weighted_sum: one fixed weight per input; empty learns them
     metric: str = "max"
     target: int = 0      # concat_linear output width
     low_rank: int = 0    # concat_linear: rank of a low-rank map, 0 for a full one
+
+    def __post_init__(self):
+        if (self.strategy == "concat_linear" and self.target < 1) or self.low_rank < 0:
+            raise ValueError("%s fusion got target = %d and low_rank = %d; concat_linear needs "
+                             "target >= 1, and low_rank must be >= 0"
+                             % (self.strategy, self.target, self.low_rank))
 
 
 def _concat_fabric(spec, total):

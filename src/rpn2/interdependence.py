@@ -16,6 +16,7 @@ built on the tape and post-normalized there (`post_norm_node`).
 """
 
 from dataclasses import dataclass, field
+from typing import Union
 
 import numpy as np
 
@@ -37,7 +38,7 @@ class Graph:
     `edges` becomes a tuple of int pairs, and self loops are dropped."""
 
     n_nodes: int
-    edges: tuple
+    edges: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
         n = int(self.n_nodes)
@@ -121,16 +122,16 @@ class LowRankBilinear:
 class RpnHead:
     m: int
     m_prime: int
-    expansion: object      # transformation.ExpansionSpec of the flattened batch
-    reconciliation: object  # n = m * m_prime; D = the expanded flat width
+    expansion: tf.ExpansionSpec  # of the flattened batch
+    reconciliation: rc.ReconciliationSpec  # n = m * m_prime; D = the expanded flat width
     remainder: object = None  # None or constant ndarray added to the flat output
 
 
 @dataclass(frozen=True)
 class GridStructural:
-    grid: object
-    shape: object
-    packing: object
+    grid: gg.GridSpec
+    shape: Union[gg.Cuboid, gg.Cylinder, gg.Sphere]
+    packing: gg.PackingSpec
     mode: str = "padding"  # padding | aggregation
 
 
@@ -154,8 +155,12 @@ class GraphStructural:
 
 @dataclass(frozen=True)
 class Hybrid:
-    variants: tuple
-    fusion: object  # fusion.FusionSpec
+    variants: "tuple[Variant, ...]"
+    fusion: fu.FusionSpec
+
+
+Variant = Union[Constant, Identity, StatKernel, NumKernel, Parameterized, Bilinear, RpnHead,
+                LowRankBilinear, GridStructural, ChainStructural, GraphStructural, Hybrid]
 
 
 @dataclass(frozen=True)
@@ -166,7 +171,7 @@ class InterdependenceSpec:
     on first use and kept on the spec (`_resolved_matrix`).
     """
 
-    variant: object
+    variant: Variant
     axis: str = "attribute"  # attribute | instance
     post_norm: str = "none"  # none | row_l1 | col_l1 | col_softmax | scaled_col_softmax
     norm_r: int = 1
@@ -408,7 +413,7 @@ def chain_structural_matrix(m, direction="uni", variant="onehop", hops=1,
     return out
 
 
-def chain_structural_coo(m, direction="uni", variant="onehop", hops=1,
+def chain_structural_coo(m: int, direction="uni", variant="onehop", hops=1,
                          include_self=False):
     """`chain_structural_matrix` as a SparseCoo, with the same entries.
 
@@ -585,8 +590,7 @@ def build_node(spec, x_node, param_node):
     elif isinstance(v, Hybrid):  # children built on the tape, then fused
         mats, used = [], 0
         for child in v.variants:
-            if not isinstance(child, InterdependenceSpec):
-                child = InterdependenceSpec(child, axis=spec.axis)
+            child = InterdependenceSpec(child, axis=spec.axis)
             need = param_length(child)
             a = build_node(child, x_node, param_node.take(used, used + need))
             mats.append(tape.constant(a.to_dense()) if isinstance(a, SparseCoo) else a)

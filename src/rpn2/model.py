@@ -44,7 +44,8 @@ A forward's tape is released once it is done with (`model_forward`,
 """
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
+from typing import Literal
 
 import numpy as np
 
@@ -56,33 +57,45 @@ from .numeric_core import (Arena, Node, Prng, SparseCoo, Tape, class_labels,
                            cross_entropy_node, mse_node, norm, softmax_node)
 
 
+# the stations a head applies a processor at, the processor tags, and no processor
+PROCESSOR_STATIONS = ("input", "expansion", "output")
+_PROCESSORS = {
+    "tanh": lambda node: node.tanh(),
+    "sigmoid": lambda node: node.sigmoid(),
+    "relu": lambda node: node.relu(),
+    "softmax": lambda node: softmax_node(node, axis="row", r=1),
+}
+_NO_PROCESSOR = (None, "", "none")
+
+
 @dataclass
 class HeadConfig:
     m: int
     n: int
-    expansion: tf.ExpansionSpec
     reconciliation: rc.ReconciliationSpec
+    expansion: tf.ExpansionSpec = field(default_factory=tf.ExpansionSpec)
     channels: int = 1
     remainder: str = "zero"  # zero | identity | linear
-    attr_prior: object = None
-    attr_post: object = None
-    inst_prior: object = None
-    inst_post: object = None
+    attr_prior: itd.InterdependenceSpec = None
+    attr_post: itd.InterdependenceSpec = None
+    inst_prior: itd.InterdependenceSpec = None
+    inst_post: itd.InterdependenceSpec = None
     channel_fusion: fu.FusionSpec = field(default_factory=lambda: fu.FusionSpec("sum"))
-    processors: dict = field(default_factory=dict)  # PROCESSOR_STATIONS -> tag
-    # read nowhere: kept only because the benchmark's cnn_model passes it
-    dup_blocks: tuple = ()
+    processors: dict[Literal[PROCESSOR_STATIONS],
+                     Literal[_NO_PROCESSOR + tuple(_PROCESSORS)]] = field(default_factory=dict)
+    # init-only and read nowhere: accepted because the benchmark's cnn_model passes it
+    dup_blocks: InitVar[tuple] = ()
 
 
 @dataclass
 class LayerConfig:
-    heads: list
+    heads: list[HeadConfig]
     head_fusion: fu.FusionSpec = field(default_factory=lambda: fu.FusionSpec("average"))
 
 
 @dataclass
 class ModelConfig:
-    layers: list
+    layers: list[LayerConfig]
 
 
 class ParameterStore:
@@ -165,20 +178,10 @@ def make_param_nodes(tape, store):
 # forward
 
 
-# the stations a head applies a processor at, and the processor tags
-PROCESSOR_STATIONS = ("input", "expansion", "output")
-_PROCESSORS = {
-    "tanh": lambda node: node.tanh(),
-    "sigmoid": lambda node: node.sigmoid(),
-    "relu": lambda node: node.relu(),
-    "softmax": lambda node: softmax_node(node, axis="row", r=1),
-}
-
-
 def check_processor(tag):
     """The function a processor tag applies, None for no processor (None,
     "" or "none"). An unknown tag raises ValueError."""
-    if tag in (None, "", "none"):
+    if tag in _NO_PROCESSOR:
         return None
     if isinstance(tag, str) and tag in _PROCESSORS:
         return _PROCESSORS[tag]

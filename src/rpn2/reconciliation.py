@@ -10,7 +10,7 @@ package's splitmix stream, so reconstruction from the same seed is
 bit-identical.
 """
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -28,9 +28,9 @@ _READERS = {"rank": ("lorr", "vera", "hypernet_lowrank"),
 class ReconciliationSpec:
     """Frozen, because its random factors are kept on it (`frozen_randoms`).
     A duplicated padding is n blocks of D / n: psi repeats one vector of
-    D / n entries on its n diagonal blocks. A field that the method does not
+    D / n entries on its n diagonal blocks. A size that the method does not
     read (`rank`, `mid`, `input_len`, `seed`, `p`, `p_count`) must be 0, so
-    that no size is given and silently ignored."""
+    that no size is given and silently ignored; `p` and `p_count` are not kept."""
 
     method: str  # identity | constant_eye | duplicated_padding | lorr | vera | hypernet_lowrank
     n: int
@@ -38,19 +38,20 @@ class ReconciliationSpec:
     rank: int = 0
     mid: int = 0          # hypernet hidden width d
     input_len: int = 0    # hypernet declared |w|
-    p: int = 0            # duplicated_padding: 0 or D / n; 0 for every other method
-    p_count: int = 0      # duplicated_padding: 0 or n; 0 for every other method
+    p: InitVar[int] = 0        # duplicated_padding: 0 or D / n; 0 for every other method
+    p_count: InitVar[int] = 0  # duplicated_padding: 0 or n; 0 for every other method
     seed: int = 0
 
-    def __post_init__(self):
+    def __post_init__(self, p, p_count):
         if self.method == "duplicated_padding" and (
-                self.n < 1 or self.D % self.n or self.p not in (0, self.D // self.n)
-                or self.p_count not in (0, self.n)):
+                self.n < 1 or self.D % self.n or p not in (0, self.D // self.n)
+                or p_count not in (0, self.n)):
             raise ValueError("duplicated_padding needs D = %d to be a multiple of n = %d, "
                              "and p = %d and p_count = %d to be 0 or D / n and n"
-                             % (self.D, self.n, self.p, self.p_count))
-        unread = ["%s = %d" % (key, getattr(self, key)) for key, methods in _READERS.items()
-                  if getattr(self, key) and self.method not in methods]
+                             % (self.D, self.n, p, p_count))
+        sizes = dict(vars(self), p=p, p_count=p_count)
+        unread = ["%s = %d" % (key, sizes[key]) for key, methods in _READERS.items()
+                  if sizes[key] and self.method not in methods]
         if unread:
             raise ValueError("%s reconciliation reads no %s; set it to 0"
                              % (self.method, " or ".join(unread)))

@@ -180,21 +180,33 @@ def test_train_rejects_metric_head_fusion_that_cannot_learn(tmp_path, capsys):
     assert not (tmp_path / "c.json").exists()
 
 
-@pytest.mark.parametrize("strategy", ["weighted_sum", "concat_linear", "bogus"])
-def test_train_rejects_head_fusion_the_config_cannot_express(tmp_path, capsys,
-                                                             strategy):
+def _two_head_fusion_config(tmp_path, head_fusion):
     head = {"m": 2, "n": 2,
             "reconciliation": {"method": "identity", "n": 2, "D": 2}}
-    cfg_obj = {"model": {"layers": [{"heads": [head, head],
-                                     "head_fusion": strategy}]},
-               "data": {"kind": "two_moons", "n": 40, "noise": 0.1, "seed": 7},
-               "train": {"loss": "cross_entropy", "epochs": 5, "seed": 5},
-               "outputs": {"metrics": str(tmp_path / "m.csv"),
-                           "checkpoint": str(tmp_path / "c.json")}}
-    cfg = _write(tmp_path / "t.json", cfg_obj)
-    assert _run(["train", "--config", cfg]) == 2
+    return {"model": {"layers": [{"heads": [head, head], "head_fusion": head_fusion}]},
+            "data": {"kind": "two_moons", "n": 40, "noise": 0.1, "seed": 7},
+            "train": {"loss": "cross_entropy", "epochs": 5, "seed": 5},
+            "outputs": {"metrics": str(tmp_path / "m.csv"),
+                        "checkpoint": str(tmp_path / "c.json")}}
+
+
+def test_train_learns_a_bare_weighted_sum_head_fusion(tmp_path):
+    # a bare name sets FusionSpec's strategy; with no weights it learns them
+    cfg = _write(tmp_path / "t.json", _two_head_fusion_config(tmp_path, "weighted_sum"))
+    assert _run(["train", "--config", cfg]) == 0
+    slots = json.loads((tmp_path / "c.json").read_text())["slots"]
+    assert slots["l0.hfuse"][1] == 2
+
+
+@pytest.mark.parametrize("strategy,bad", [
+    ("concat_linear", "target = 0"),
+    ("bogus", "unknown fusion strategy 'bogus'"),
+], ids=["concat_linear", "bogus"])
+def test_train_rejects_a_head_fusion_it_cannot_build(tmp_path, capsys, strategy, bad):
+    cfg = _write(tmp_path / "t.json", _two_head_fusion_config(tmp_path, strategy))
+    assert _run(["train", "--config", cfg]) == 4
     err = capsys.readouterr().err
-    assert strategy in err and "average, sum, hadamard, metric" in err
+    assert bad in err and "Traceback" not in err
     assert not (tmp_path / "m.csv").exists()
     assert not (tmp_path / "c.json").exists()
 

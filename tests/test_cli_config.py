@@ -69,7 +69,8 @@ def test_interdependence_m_key_is_rejected(tmp_path, capsys):
     config = {"model": {"layers": [{"heads": [head]}]}, "data": _MOONS,
               "train": {"epochs": 1}}
     assert _run(tmp_path, "train", config) == 2
-    assert "unknown key 'm' at interdependence" in capsys.readouterr().err
+    assert ("unknown key 'm' at model.layers[0].heads[0].attr_prior.variant.identity"
+            in capsys.readouterr().err)
     del head["attr_prior"]["m"]
     assert _run(tmp_path, "train", config) == 0
 
@@ -231,7 +232,8 @@ def test_duplicated_padding_head_is_sized_by_n_and_D(tmp_path, capsys):
         head = _with(_PADDING_HEAD, ("reconciliation", key), 2)
         assert _run(tmp_path, "train", _with(config, ("model", "layers", 0, "heads"),
                                              [head])) == 2
-        assert "unknown key '%s' at reconciliation" % key in capsys.readouterr().err
+        assert ("unknown key '%s' at model.layers[0].heads[0].reconciliation" % key
+                in capsys.readouterr().err)
 
 
 def test_head_without_channels_exits_4_naming_it(tmp_path, capsys):

@@ -239,6 +239,20 @@ def test_concat_linear_identity_and_low_rank():
     assert np.allclose(got_lr, np.concatenate([a, b], 1) @ p @ q.T, atol=1e-13)
 
 
+@pytest.mark.parametrize("kwargs,bad", [
+    (dict(strategy="concat_linear"), "target = 0"),
+    (dict(strategy="concat_linear", target=-1), "target = -1"),
+    (dict(strategy="concat_linear", target=2, low_rank=-1), "low_rank = -1"),
+    (dict(strategy="sum", low_rank=-2), "low_rank = -2"),
+])
+def test_fusion_spec_refuses_a_concat_linear_it_cannot_build(kwargs, bad):
+    # a target of 0 once died in fuse_nodes on a missing tape, and -1 in numpy
+    with pytest.raises(ValueError, match=bad):
+        fu.FusionSpec(**kwargs)
+    assert fu.FusionSpec("concat_linear", target=1).target == 1
+    assert fu.FusionSpec("sum").target == 0  # only concat_linear reads it
+
+
 def test_fusion_param_lengths():
     assert fu.param_length(fu.FusionSpec("weighted_sum"), (3, 3, 3, 3)) == 4
     assert fu.param_length(fu.FusionSpec("concat_linear", target=3), (2, 2)) == 12

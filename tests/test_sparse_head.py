@@ -36,7 +36,7 @@ def _cnn_model(grid, shape, packing):
 
 def test_benchmark_cnn_model_forwards_as_the_head_sized_by_n_and_D():
     # bench/workloads.py is frozen with the p, p_count and dup_blocks copies;
-    # they must stay accepted and change nothing
+    # they are init-only: accepted and checked, never kept, and change nothing
     path = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                         "bench", "workloads.py")
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
@@ -45,8 +45,12 @@ def test_benchmark_cnn_model_forwards_as_the_head_sized_by_n_and_D():
     model, p = wl.cnn_model()
     head = model.layers[0].heads[0]
     recon = head.reconciliation
-    assert (recon.p, recon.p_count, head.dup_blocks) == (p, recon.n, (recon.n, p))
-    plain = dataclasses.replace(head, dup_blocks=(), reconciliation=rc.ReconciliationSpec(
+    fields = {f.name for spec in (head, recon) for f in dataclasses.fields(spec)}
+    assert not fields & {"p", "p_count", "dup_blocks"}
+    with pytest.raises(ValueError, match="p = %d and p_count = %d" % (p + 1, recon.n)):
+        rc.ReconciliationSpec("duplicated_padding", n=recon.n, D=recon.D, p=p + 1,
+                              p_count=recon.n)
+    plain = dataclasses.replace(head, reconciliation=rc.ReconciliationSpec(
         "duplicated_padding", n=recon.n, D=recon.D))
     prng = Prng(7)
     x = prng.normals((wl.CNN_BATCH, wl.GRID.size))
