@@ -277,9 +277,10 @@ def cmd_build_matrix(config, out, seed_override=None):
 
 
 _DEFAULT_LOSS = {"two_moons": "cross_entropy", "chain_series": "mse"}
-# optimizer keys that model.train reads; any other is rejected
-_OPTIMIZER_KINDS = {"kind": str, "lr": float, "momentum": float, "beta1": float,
-                    "beta2": float, "eps": float}
+# the keys any optimizer kind reads (`model.OPTIMIZER_KEYS`), any other is
+# rejected; the kind is a string, the others numbers
+_OPTIMIZER_KINDS = {key: str if key == "kind" else float
+                    for keys in md.OPTIMIZER_KEYS.values() for key in keys}
 
 
 def cmd_train(config, out, seed_override=None):

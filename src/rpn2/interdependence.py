@@ -24,8 +24,8 @@ from . import fusion as fu
 from . import grid_geometry as gg
 from . import reconciliation as rc
 from . import transformation as tf
-from .numeric_core import (SparseCoo, Tape, as_dense, l1_normalize_node, matrix_exp,
-                           softmax_node, solve)
+from .numeric_core import (SparseCoo, Tape, as_dense, check_params, l1_normalize_node,
+                           matrix_exp, softmax_node, solve)
 
 
 # ---------------------------------------------------------------------------
@@ -268,10 +268,20 @@ def _pairwise_diff_norm(x, p):
     return np.sum(np.abs(diff) ** p, axis=2) ** (1.0 / p)
 
 
+# the params each numerical kernel reads
+_KERNEL_PARAMS = {"linear": (), "polynomial": ("c", "d"), "tanh": ("alpha", "c"),
+                  "exponential": ("gamma",), "cosine": (), "minkowski": ("p",),
+                  "gaussian_rbf": ("sigma",), "laplacian": ("sigma",), "anisotropic_rbf": ("a",),
+                  "hybrid": ("k1", "k2", "k1_params", "k2_params", "alpha", "beta")}
+
+
 def numerical_kernel_matrix(x, kind, params=None):
-    """Pairwise numerical kernel over the columns of x."""
+    """Pairwise numerical kernel over the columns of x. A key of `params`
+    that the kind does not read raises ValueError."""
+    if kind not in _KERNEL_PARAMS:
+        raise ValueError("unknown numerical kernel %r" % kind)
+    p = check_params(params, _KERNEL_PARAMS[kind], "the %s kernel" % kind)
     x = np.asarray(x, dtype=float)
-    p = dict(params or {})
     gram = x.T @ x
     if kind == "linear":
         return gram
@@ -304,11 +314,10 @@ def numerical_kernel_matrix(x, kind, params=None):
         a = np.asarray(p["a"], dtype=float)
         diff = x.T[:, None, :] - x.T[None, :, :]
         return np.exp(-np.sum(diff * diff * a[None, None, :], axis=2))
-    if kind == "hybrid":
-        k1 = numerical_kernel_matrix(x, p["k1"], p.get("k1_params"))
-        k2 = numerical_kernel_matrix(x, p["k2"], p.get("k2_params"))
-        return p.get("alpha", 0.5) * k1 + p.get("beta", 0.5) * k2
-    raise ValueError("unknown numerical kernel %r" % kind)
+    # hybrid
+    k1 = numerical_kernel_matrix(x, p["k1"], p.get("k1_params"))
+    k2 = numerical_kernel_matrix(x, p["k2"], p.get("k2_params"))
+    return p.get("alpha", 0.5) * k1 + p.get("beta", 0.5) * k2
 
 
 # ---------------------------------------------------------------------------

@@ -22,25 +22,20 @@ evaluate the same code on a gradient-free tape.
 Parameter-free interdependence matrices are constants (no gradient flows
 through them). Structure (identity, grid, chain and graph matrices) is
 resolved once per spec: built on first use and kept on the spec, so every
-later forward and training epoch reuses it; kernels are built per batch.
-`train` folds more, because its input is the same in every epoch: per call,
-it builds each layer-0 head's gradient-free prefix (input processor,
-attribute prior, expansion and its processor, attribute posterior and
-instance prior, up to the first station with a parameter) and any
-parameter-free matrix the head applies past that prefix (a kernel at
-`inst_post`) once, in the first epoch, and lifts the stored values as
-constants in the later ones. Layers past the first read a gradient-carrying
-input and fold nothing; `model_forward` and `diagnostics` fold nothing.
-`train` also writes each epoch's gradient-carrying dense forward values
-into the arrays of the epoch before (one `numeric_core.Arena` per call). A
-sparse matrix, such as a grid matrix, stays a `SparseCoo` at its station:
-`Node.matmul` applies it with `SparseCoo.rmatmul` and back-propagates
-through its transpose, so the head never densifies it (a post_norm,
-a `Hybrid` child and the diagnostics' SVD still do). `metric` fusion and
+later forward reuses it; kernels are built per batch. `train` builds its
+tape once per call, in epoch 0, and replays it in every later epoch
+(`Tape.replay`): only the nodes that depend on a parameter are evaluated
+again, in place, so a kernel, an expansion of the input or any other
+constant is built once per call. `model_forward` and `diagnostics` build a
+tape per call and never replay it. A sparse matrix, such as a grid matrix,
+stays a `SparseCoo` at its station: `Node.matmul` applies it with
+`SparseCoo.rmatmul` and back-propagates through its transpose, so the head
+never densifies it (a post_norm, a `Hybrid` child and the diagnostics' SVD
+still do). `metric` fusion and
 the wavelet expansion are value-only, and `train` rejects a config whose
 parameters would never learn, or learn from a gradient truncated there.
 A forward's tape is released once it is done with (`model_forward`,
-`Tape.backward`).
+`diagnostics`, and `train` when it returns or raises).
 """
 
 import time
@@ -53,7 +48,7 @@ from . import fusion as fu
 from . import interdependence as itd
 from . import reconciliation as rc
 from . import transformation as tf
-from .numeric_core import (Arena, Node, Prng, SparseCoo, Tape, class_labels,
+from .numeric_core import (Prng, SparseCoo, Tape, check_params, class_labels,
                            cross_entropy_node, mse_node, norm, softmax_node)
 
 
@@ -201,86 +196,57 @@ def _instance_apply(a, cur):
     return a.transpose().matmul(cur)
 
 
-# the stations a head's input passes before its channels, in order; `train`
-# folds the leading ones whose output needs no gradient
+# the stations a head's input passes before its channels, in order
 _PREFIX_STATIONS = ("attr_prior", "expansion", "attr_post", "inst_prior")
 
 
-def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None, memo=None):
+def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None):
     """One head's output node (see the module docstring for the chain). The
     instance prior multiplies the expansion at its station, unless it or
     the expansion needs a gradient and channels * n < D: then it multiplies
     each channel's narrower reconciled output, before channel fusion. The
     trace records it either way."""
-    # With a memo (one `train` call), a head whose input needs no gradient
-    # keeps the value of its gradient-free prefix under (k, h), the input
-    # processor's under (k, h, "input"), and each constant relation matrix
-    # it applies past the prefix under (k, h, station); later epochs lift
-    # them onto their tape in place of rebuilding them.
-    fold = memo is not None and not x_node.needs_grad
-    tape = x_node.tape
-
-    def kept(key, build, *args):
-        if not fold:
-            return build(*args)
-        if key in memo:
-            return tape.constant(memo[key])
-        node = build(*args)
-        if isinstance(node, Node) and not node.needs_grad:
-            memo[key] = node.value
-        return node
-
-    def interdep(tag, operand):
+    def interdep(tag):
         spec = getattr(head, tag)
         if spec is None:
             return None
-        pnode = param_nodes.get("l%d.h%d.%s" % (k, h, tag))
-        if operand.needs_grad:  # past the prefix
-            return kept((k, h, tag), itd.build_node, spec, x_station, pnode)
-        return itd.build_node(spec, x_station, pnode)
+        return itd.build_node(spec, x_station, param_nodes.get("l%d.h%d.%s" % (k, h, tag)))
 
     if x_node.shape[1] != head.m:
         raise ValueError("head l%d.h%d declares m = %d, but its input is %d wide"
                          % (k, h, head.m, x_node.shape[1]))
-    proc = check_processor(head.processors.get("input"))
-    x_station = x_node if proc is None else kept((k, h, "input"), proc, x_node)
+    x_station = _apply_processor(x_node, head.processors.get("input"))
     recon = head.reconciliation
-    done, cur, deferred = 0, x_station, None
-    if fold and (k, h) in memo:
-        done, value = memo[(k, h)]
-        cur = tape.constant(value)
-    for i, tag in enumerate(_PREFIX_STATIONS[done:], done + 1):
+    cur, deferred = x_station, None
+    for tag in _PREFIX_STATIONS:
         if tag == "expansion":
             cur = tf.expand_node(cur, head.expansion)
             cur = _apply_processor(cur, head.processors.get("expansion"))
+            continue
+        a = interdep(tag)
+        if a is None:
+            continue
+        if tag != "inst_prior":
+            cur = cur.matmul(a)
+            continue
+        if trace is not None:
+            trace.setdefault("instance_matrices", []).append(
+                ("l%d.h%d.inst_prior" % (k, h),
+                 a.to_dense() if isinstance(a, SparseCoo) else a.value))
+        if ((cur.needs_grad or getattr(a, "needs_grad", False))
+                and head.channels * recon.n < recon.D):
+            # every reconciliation is a right product, so the matrix may
+            # multiply the narrower reconciled outputs
+            deferred = a
         else:
-            a = interdep(tag, cur)
-            if a is None:
-                continue
-            if tag != "inst_prior":
-                cur = cur.matmul(a)
-            else:
-                if trace is not None:
-                    trace.setdefault("instance_matrices", []).append(
-                        ("l%d.h%d.inst_prior" % (k, h),
-                         a.to_dense() if isinstance(a, SparseCoo) else a.value))
-                if ((cur.needs_grad or getattr(a, "needs_grad", False))
-                        and head.channels * recon.n < recon.D):
-                    # every reconciliation is a right product, so the
-                    # matrix may multiply the narrower reconciled outputs;
-                    # the memo must not skip this station in a later epoch
-                    deferred = a
-                    continue
-                cur = _instance_apply(a, cur)
-        if fold and not cur.needs_grad and cur is not x_station:
-            memo[(k, h)] = (i, cur.value)
+            cur = _instance_apply(a, cur)
 
     outs = [rc.reconciled_product(cur, recon, param_nodes.get("l%d.h%d.c%d.psi" % (k, h, c)))
             for c in range(head.channels)]
     if deferred is not None:
         outs = [_instance_apply(deferred, o) for o in outs]
     out = fu.fuse_nodes(outs, head.channel_fusion, param_nodes.get("l%d.h%d.cfuse" % (k, h)))
-    a_iq = interdep("inst_post", out)
+    a_iq = interdep("inst_post")
     if a_iq is not None:
         out = _instance_apply(a_iq, out)
 
@@ -297,20 +263,21 @@ def head_forward(x_node, head, param_nodes, k=0, h=0, trace=None, memo=None):
     return _apply_processor(out, head.processors.get("output"))
 
 
-def layer_forward(x_node, layer, param_nodes, k=0, trace=None, memo=None):
-    outs = [head_forward(x_node, head, param_nodes, k, h, trace, memo)
+def layer_forward(x_node, layer, param_nodes, k=0, trace=None):
+    outs = [head_forward(x_node, head, param_nodes, k, h, trace)
             for h, head in enumerate(layer.heads)]
     return fu.fuse_nodes(outs, layer.head_fusion, param_nodes.get("l%d.hfuse" % k))
 
 
-def model_forward_nodes(x, model, store, trace=None, memo=None, arena=None):
-    """Output node, tape and parameter nodes of one forward. `train` passes
-    one memo dict (see `head_forward`) and one `Arena` for all its epochs."""
-    tape = Tape(arena)
+def model_forward_nodes(x, model, store, trace=None):
+    """Output node, tape and parameter nodes of one forward. The parameter
+    nodes are views of `store.vector`, so the tape replays at the values an
+    in-place update writes there."""
+    tape = Tape()
     param_nodes = make_param_nodes(tape, store)
     cur = tape.constant(np.asarray(x, dtype=float))
     for k, layer in enumerate(model.layers):
-        cur = layer_forward(cur, layer, param_nodes, k, trace, memo)
+        cur = layer_forward(cur, layer, param_nodes, k, trace)
     return cur, tape, param_nodes
 
 
@@ -346,36 +313,43 @@ class History:
                             "param_norm": param_norm})
 
 
+# the keys each optimizer kind reads
+OPTIMIZER_KEYS = {"sgd": ("kind", "lr", "momentum"),
+                   "adaptive_moments": ("kind", "lr", "beta1", "beta2", "eps")}
+
+
 def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=None):
     """Full-batch gradient training; deterministic given the seed.
 
-    `loss="mse"` needs `y` in the output's shape; a 1-D `y` is read as one
-    column. `loss="cross_entropy"` needs one integer label in [0, columns)
-    per output row. Both are checked against the output of epoch 0's
+    `optimizer` is a dict: sgd reads `lr` (0.01) and `momentum` (0),
+    adaptive_moments `lr`, `beta1` (0.9), `beta2` (0.999) and `eps` (1e-8);
+    a key its kind does not read raises ValueError. `loss="mse"` needs `y`
+    in the output's shape; a 1-D `y` is read as one column.
+    `loss="cross_entropy"` needs one integer label in [0, columns) per
+    output row. Both are checked once, against the output of epoch 0's
     forward, which runs before the loop, so a wrong target raises ValueError
     before any update, even at `epochs=0`. After epoch 0's backward, a
     parameter that no gradient reaches, or a gradient cut by a value-only op
     (wavelet expansion, metric fusion, a data kernel on a gradient-carrying
     input), raises ValueError before any update.
 
-    The input is the same in every epoch, so each layer-0 head's
-    gradient-free prefix (and any constant relation matrix it applies past
-    that prefix) is built in the first epoch and lifted as a constant in
-    the later ones. Every epoch also repeats the last one's ops, so the
-    forward values of the dense ops that carry a gradient are written into
-    arrays of an `Arena` that are handed out again in the next epoch,
-    instead of being freed to the system allocator and page-faulted back.
-    The memo and the arena live as long as this call, and nothing this call
-    returns is held by either. Before epoch 0, `store.vector` is replaced by
-    a copy, which the updates then change in place, together with the
-    optimizer's moments, so an array the caller holds is not changed."""
-    opt = dict(optimizer or {})
-    kind = opt.get("kind", "sgd")
-    lr = float(opt.get("lr", 0.01))
+    The tape of epoch 0's forward and loss is built once per call, and every
+    later epoch replays it (`Tape.replay`) at the updated parameters before
+    its backward: the input is the same in every epoch, so only the nodes
+    that depend on a parameter are evaluated again, each into the array it
+    already holds. Epoch 0's `step_seconds` includes building the tape. The
+    tape is released when the call returns or raises, and nothing the call
+    returns holds it. The parameter nodes view a copy of `store.vector`,
+    which replaces `store.vector` once the target checks pass; the updates
+    then change it in place, together with the optimizer's moments, so an
+    array the caller holds is not changed."""
+    kind = dict(optimizer or {}).get("kind", "sgd")
     if loss not in ("mse", "cross_entropy"):
         raise ValueError("unknown loss %r" % loss)
-    if kind not in ("sgd", "adaptive_moments"):
+    if kind not in OPTIMIZER_KEYS:
         raise ValueError("unknown optimizer %r" % kind)
+    opt = check_params(optimizer, OPTIMIZER_KEYS[kind], "the %s optimizer" % kind)
+    lr = float(opt.get("lr", 0.01))
     if epochs < 0:
         raise ValueError("epochs must be >= 0, got %d" % epochs)
     if store is None:
@@ -385,66 +359,67 @@ def train(model, x, y, loss="mse", optimizer=None, epochs=100, seed=0, store=Non
     m1 = np.zeros_like(store.vector)
     m2 = np.zeros_like(store.vector)
     history = History()
-    memo = {}  # epoch-invariant values of this call's forwards (head_forward)
-    arena = Arena()
+    work = ParameterStore()  # the vector the updates change, not the caller's array
+    work.slots, work.vector = store.slots, store.vector.copy()
     start = time.perf_counter()
-    arena.recycle()  # every epoch's forward, this first one too, starts here
-    out, tape, _ = model_forward_nodes(x, model, store, memo=memo, arena=arena)
-    if loss == "mse":
-        y = np.asarray(y, dtype=float)
-        target = y[:, None] if y.ndim == 1 else y
-        if target.shape != out.shape:
-            raise ValueError("mse needs a target of the output's shape %s, got %s"
-                             % (out.shape, y.shape))
-    else:
-        y = class_labels(y, *out.shape)
-    store.vector = store.vector.copy()  # updated in place below, not the caller's array
-    for epoch in range(epochs):
-        if epoch:  # epoch 0's forward ran above, before the target checks
-            start = time.perf_counter()
-            arena.recycle()  # the last epoch's tape and gradients are spent
-            out, tape, _ = model_forward_nodes(x, model, store, memo=memo, arena=arena)
+    out, tape, _ = model_forward_nodes(x, model, work)
+    try:
         if loss == "mse":
+            y = np.asarray(y, dtype=float)
+            target = y[:, None] if y.ndim == 1 else y
+            if target.shape != out.shape:
+                raise ValueError("mse needs a target of the output's shape %s, got %s"
+                                 % (out.shape, y.shape))
             loss_node = mse_node(out, target)
-            metric = float(np.asarray(loss_node.value).reshape(-1)[0])
-        else:  # cross_entropy
+        else:
+            y = class_labels(y, *out.shape)
             loss_node = cross_entropy_node(out, y)
-            metric = float((np.argmax(out.value, axis=1) == np.asarray(y)).mean())
-        lv = float(np.asarray(loss_node.value).reshape(-1)[0])
-        if not np.isfinite(lv):
-            raise FloatingPointError("non-finite loss at epoch %d" % epoch)
-        grads = tape.backward(loss_node)
-        if epoch == 0:
-            missing = [name for name in store.slots if name not in grads]
-            if missing:
-                raise ValueError("no gradient reaches %s; the config cannot learn them"
-                                 % ", ".join(missing))
-            if tape.cuts:
-                raise ValueError("no gradient passes a value-only %s, yet parameters "
-                                 "upstream of it need one; training would follow a "
-                                 "truncated gradient" % " or ".join(sorted(set(tape.cuts))))
-        g = _flatten_grads(store, grads)
-        # in place, each in the operand order of its out-of-place form
-        # (v = mom * v - lr * g, ...), so the trained bytes do not change
-        if kind == "sgd":
-            mom = float(opt.get("momentum", 0.0))
-            np.multiply(velocity, mom, out=velocity)
-            velocity -= lr * g
-            store.vector += velocity
-        else:  # adaptive_moments
-            b1 = float(opt.get("beta1", 0.9))
-            b2 = float(opt.get("beta2", 0.999))
-            eps = float(opt.get("eps", 1e-8))
-            np.multiply(m1, b1, out=m1)
-            m1 += (1 - b1) * g
-            np.multiply(m2, b2, out=m2)
-            m2 += (1 - b2) * g * g
-            t = epoch + 1
-            m1h = m1 / (1 - b1 ** t)
-            m2h = m2 / (1 - b2 ** t)
-            store.vector -= lr * m1h / (np.sqrt(m2h) + eps)
-        history.append(epoch, lv, metric, time.perf_counter() - start,
-                       float(np.linalg.norm(g)), float(np.linalg.norm(store.vector)))
+        store.vector = work.vector
+        for epoch in range(epochs):
+            if epoch:  # epoch 0's forward ran above, before the target checks
+                start = time.perf_counter()
+                tape.replay()
+            lv = float(loss_node.value[0, 0])
+            if loss == "mse":
+                metric = lv
+            else:
+                metric = float((np.argmax(out.value, axis=1) == y).mean())
+            if not np.isfinite(lv):
+                raise FloatingPointError("non-finite loss at epoch %d" % epoch)
+            grads = tape.backward(loss_node)
+            if epoch == 0:
+                missing = [name for name in store.slots if name not in grads]
+                if missing:
+                    raise ValueError("no gradient reaches %s; the config cannot learn them"
+                                     % ", ".join(missing))
+                if tape.cuts:
+                    raise ValueError("no gradient passes a value-only %s, yet parameters "
+                                     "upstream of it need one; training would follow a "
+                                     "truncated gradient" % " or ".join(sorted(set(tape.cuts))))
+            g = _flatten_grads(store, grads)
+            # in place, each in the operand order of its out-of-place form
+            # (v = mom * v - lr * g, ...), so the trained bytes do not change
+            if kind == "sgd":
+                mom = float(opt.get("momentum", 0.0))
+                np.multiply(velocity, mom, out=velocity)
+                velocity -= lr * g
+                store.vector += velocity
+            else:  # adaptive_moments
+                b1 = float(opt.get("beta1", 0.9))
+                b2 = float(opt.get("beta2", 0.999))
+                eps = float(opt.get("eps", 1e-8))
+                np.multiply(m1, b1, out=m1)
+                m1 += (1 - b1) * g
+                np.multiply(m2, b2, out=m2)
+                m2 += (1 - b2) * g * g
+                t = epoch + 1
+                m1h = m1 / (1 - b1 ** t)
+                m2h = m2 / (1 - b2 ** t)
+                store.vector -= lr * m1h / (np.sqrt(m2h) + eps)
+            history.append(epoch, lv, metric, time.perf_counter() - start,
+                           float(np.linalg.norm(g)), float(np.linalg.norm(store.vector)))
+    finally:
+        tape.release()
     return history, store
 
 

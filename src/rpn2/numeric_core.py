@@ -22,6 +22,18 @@ def as_dense(a):
     return np.asarray(a, dtype=float)
 
 
+def check_params(params, reads, what):
+    """`params` as a dict; a key that `what` does not read (one not in
+    `reads`) raises ValueError naming it, so that no setting is given and
+    silently ignored."""
+    p = dict(params or {})
+    unread = sorted(set(p) - set(reads))
+    if unread:
+        raise ValueError("%s reads no %s; it reads %s"
+                         % (what, ", ".join(map(repr, unread)), ", ".join(reads) or "none"))
+    return p
+
+
 # ---------------------------------------------------------------------------
 # sparse coordinate matrix
 
@@ -375,18 +387,29 @@ class Node:
     in `vjps`, so a branch built from constants alone (the input, its
     expansion, a product of constants, a regression target) records no VJP
     and `Tape.backward` never evaluates one for it.
+
+    A node that needs a gradient also keeps its op's `redo`, which
+    `Tape.replay` calls with the node's own `value` array: it makes the
+    same numpy call as the op's first evaluation and writes the result into
+    that array (`out=` or `np.copyto`). Parameters, and values that are
+    views of their parent's array (`take`, `reshape`, `transpose`), have no
+    redo: their bytes follow the array they view. A node's `value` is never
+    rebound, so the arrays that child ops and VJPs captured stay the ones
+    that hold the current values; every per-evaluation array a VJP reads
+    (relu's mask, a normalizer, a residual) is rewritten by the redo too.
     """
 
-    __slots__ = ("tape", "value", "vjps", "nid", "is_param", "name", "needs_grad")
+    __slots__ = ("tape", "value", "vjps", "nid", "is_param", "name", "needs_grad", "redo")
     # numpy scalars on the left defer to the reflected operators below
     __array_ufunc__ = None
 
-    def __init__(self, tape, value, vjps, is_param=False, name=None):
+    def __init__(self, tape, value, vjps, is_param=False, name=None, redo=None):
         self.tape = tape
         self.value = np.asarray(value, dtype=float)
         # list of (parent Node, closure grad -> parent grad)
         self.vjps = [pair for pair in vjps if pair[0].needs_grad]
         self.needs_grad = is_param or bool(self.vjps)
+        self.redo = redo if self.vjps else None
         self.is_param = is_param
         self.name = name
         self.nid = len(tape.nodes)
@@ -401,20 +424,18 @@ class Node:
     def __add__(self, other):
         other = self.tape.lift(other)
         a, b = self.value, other.value
-        arena = _arena(self, other) if a.shape == b.shape else None
-        return Node(self.tape, a + b if arena is None else
-                    np.add(a, b, out=arena.take(a.shape)),
-                    [(self, lambda g: _unbroadcast(g, self.value.shape)),
-                     (other, lambda g: _unbroadcast(g, other.value.shape))])
+        return Node(self.tape, a + b,
+                    [(self, lambda g: _unbroadcast(g, a.shape)),
+                     (other, lambda g: _unbroadcast(g, b.shape))],
+                    redo=lambda out: np.add(a, b, out=out))
 
     def __sub__(self, other):
         other = self.tape.lift(other)
         a, b = self.value, other.value
-        arena = _arena(self, other) if a.shape == b.shape else None
-        return Node(self.tape, a - b if arena is None else
-                    np.subtract(a, b, out=arena.take(a.shape)),
-                    [(self, lambda g: _unbroadcast(g, self.value.shape)),
-                     (other, lambda g: _unbroadcast(-g, other.value.shape))])
+        return Node(self.tape, a - b,
+                    [(self, lambda g: _unbroadcast(g, a.shape)),
+                     (other, lambda g: _unbroadcast(-g, b.shape))],
+                    redo=lambda out: np.subtract(a, b, out=out))
 
     def __rsub__(self, other):
         return self.tape.lift(other) - self
@@ -425,89 +446,103 @@ class Node:
         other = self.tape.lift(other)
         return Node(self.tape, self.value * other.value,
                     [(self, lambda g: _unbroadcast(g * other.value, self.value.shape)),
-                     (other, lambda g: _unbroadcast(g * self.value, other.value.shape))])
+                     (other, lambda g: _unbroadcast(g * self.value, other.value.shape))],
+                    redo=lambda out: np.multiply(self.value, other.value, out=out))
 
     def __rmul__(self, s):
         return self.scale(s)
 
     def __truediv__(self, s):
         s = float(s)
-        return Node(self.tape, self.value / s, [(self, lambda g: g / s)])
+        return Node(self.tape, self.value / s, [(self, lambda g: g / s)],
+                    redo=lambda out: np.divide(self.value, s, out=out))
 
     def scale(self, s):
         s = float(s)
-        a, arena = self.value, _arena(self)
-        return Node(self.tape, a * s if arena is None else
-                    np.multiply(a, s, out=arena.take(a.shape)),
-                    [(self, lambda g: g * s)])
+        return Node(self.tape, self.value * s, [(self, lambda g: g * s)],
+                    redo=lambda out: np.multiply(self.value, s, out=out))
 
     def take(self, lo, hi, shape=None):
         """Entries lo..hi of the flattened value, in `shape` when one is
         given (one node, not a slice and a reshape); the VJP scatters into
         zeros."""
-        old = self.value.shape
+        a = self.value
 
         def vjp(g):
-            out = np.zeros(self.value.size)
+            out = np.zeros(a.size)
             out[lo:hi] = g.reshape(-1)
-            return out.reshape(old)
+            return out.reshape(a.shape)
 
-        value = self.value.reshape(-1)[lo:hi]
-        return Node(self.tape, value if shape is None else value.reshape(shape),
-                    [(self, vjp)])
+        def make():
+            value = a.reshape(-1)[lo:hi]
+            return value if shape is None else value.reshape(shape)
+
+        value = make()
+        return Node(self.tape, value, [(self, vjp)], redo=_copy_redo(self, value, make))
 
     def matmul(self, other):
+        a = self.value
         if isinstance(other, SparseCoo):
             # parameter-free sparse constant: x @ S forward, g @ S^T back
-            return Node(self.tape, other.rmatmul(self.value),
-                        [(self, lambda g: other.transpose().rmatmul(g))])
+            return Node(self.tape, other.rmatmul(a),
+                        [(self, lambda g: other.transpose().rmatmul(g))],
+                        redo=lambda out: np.copyto(out, other.rmatmul(a)))
         other = self.tape.lift(other)
-        a, b = self.value, other.value
+        b = other.value
         if a.shape[-1] != b.shape[0]:
             raise ValueError("dimension mismatch in matmul")
-        arena = _arena(self, other) if a.ndim == 2 == b.ndim else None
-        return Node(self.tape, a @ b if arena is None else
-                    np.matmul(a, b, out=arena.take((a.shape[0], b.shape[1]))),
-                    [(self, lambda g: g @ b.T), (other, lambda g: a.T @ g)])
+        return Node(self.tape, a @ b, [(self, lambda g: g @ b.T), (other, lambda g: a.T @ g)],
+                    redo=lambda out: np.matmul(a, b, out=out))
 
     def transpose(self):
         return Node(self.tape, self.value.T, [(self, lambda g: g.T)])
 
     def reshape(self, shape):
-        old = self.value.shape
-        return Node(self.tape, self.value.reshape(shape),
-                    [(self, lambda g: g.reshape(old))])
+        a = self.value
+        value = a.reshape(shape)
+        return Node(self.tape, value, [(self, lambda g: g.reshape(a.shape))],
+                    redo=_copy_redo(self, value, lambda: a.reshape(shape)))
 
     def tanh(self):
         y = np.tanh(self.value)
-        return Node(self.tape, y, [(self, lambda g: g * (1.0 - y * y))])
+        return Node(self.tape, y, [(self, lambda g: g * (1.0 - y * y))],
+                    redo=lambda out: np.tanh(self.value, out=out))
 
     def sigmoid(self):
         y = 1.0 / (1.0 + np.exp(-self.value))
-        return Node(self.tape, y, [(self, lambda g: g * y * (1.0 - y))])
+        return Node(self.tape, y, [(self, lambda g: g * y * (1.0 - y))],
+                    redo=lambda out: np.copyto(out, 1.0 / (1.0 + np.exp(-self.value))))
 
     def relu(self):
-        mask = self.value > 0
-        return Node(self.tape, self.value * mask, [(self, lambda g: g * mask)])
+        a = self.value
+        mask = a > 0
+
+        def redo(out):
+            np.greater(a, 0, out=mask)
+            np.multiply(a, mask, out=out)
+
+        return Node(self.tape, a * mask, [(self, lambda g: g * mask)], redo=redo)
 
     def sum(self):
-        shape = self.value.shape
-        return Node(self.tape, np.array([[self.value.sum()]]),
-                    [(self, lambda g: np.full(shape, float(np.sum(g))))])
+        a = self.value
+        return Node(self.tape, np.array([[a.sum()]]),
+                    [(self, lambda g: np.full(a.shape, float(np.sum(g))))],
+                    redo=lambda out: out.fill(a.sum()))
 
     def mean(self):
-        shape = self.value.shape
-        n = self.value.size
-        return Node(self.tape, np.array([[self.value.mean()]]),
-                    [(self, lambda g: np.full(shape, float(np.sum(g)) / n))])
+        a = self.value
+        return Node(self.tape, np.array([[a.mean()]]),
+                    [(self, lambda g: np.full(a.shape, float(np.sum(g)) / a.size))],
+                    redo=lambda out: out.fill(a.mean()))
 
 
-def _arena(x, y=None):
-    """Where an op on nodes x (and y) writes its output: the tape's arena
-    when the output needs a gradient, else None (numpy allocates it)."""
-    if x.needs_grad or (y is not None and y.needs_grad):
-        return x.tape.arena
-    return None
+def _copy_redo(parent, value, make):
+    """The redo of a view op: None when `value` shares the parent's array
+    (it follows every replay of the parent), else a copy of `make()` into
+    place. Only a node that needs a gradient pays for the overlap test."""
+    if not parent.needs_grad or np.may_share_memory(value, parent.value):
+        return None
+    return lambda out: np.copyto(out, make())
 
 
 def _unbroadcast(g, shape):
@@ -521,7 +556,8 @@ def _unbroadcast(g, shape):
 
 def softmax_node(x, axis="row", r=1):
     """Tape version of scaled_softmax."""
-    y = scaled_softmax(x.value, r, axis=axis)
+    a = x.value
+    y = scaled_softmax(a, r, axis=axis)
     ax = 1 if axis == "row" else 0
     sr = np.sqrt(float(r))
 
@@ -529,33 +565,42 @@ def softmax_node(x, axis="row", r=1):
         dot = np.sum(g * y, axis=ax, keepdims=True)
         return y * (g - dot) / sr
 
-    return Node(x.tape, y, [(x, vjp)])
+    return Node(x.tape, y, [(x, vjp)],
+                redo=lambda out: np.copyto(out, scaled_softmax(a, r, axis=axis)))
 
 
 def l1_normalize_node(x, axis="col"):
     ax = 0 if axis == "col" else 1
-    s = np.sum(np.abs(x.value), axis=ax, keepdims=True)
-    s = np.where(s == 0.0, 1.0, s)
-    y = x.value / s
-    sign = np.sign(x.value)
+    a = x.value
+
+    def norms():
+        s = np.sum(np.abs(a), axis=ax, keepdims=True)
+        return np.where(s == 0.0, 1.0, s)
+
+    s = norms()
 
     def vjp(g):
-        dot = np.sum(g * x.value, axis=ax, keepdims=True)
-        return g / s - sign * dot / (s * s)
+        dot = np.sum(g * a, axis=ax, keepdims=True)
+        return g / s - np.sign(a) * dot / (s * s)
 
-    return Node(x.tape, y, [(x, vjp)])
+    def redo(out):
+        np.copyto(s, norms())
+        np.divide(a, s, out=out)
+
+    return Node(x.tape, a / s, [(x, vjp)], redo=redo)
 
 
 def concat_nodes(nodes):
     """The nodes joined along axis 1."""
-    out = np.concatenate([n.value for n in nodes], axis=1)
+    values = [n.value for n in nodes]
     vjps = []
     start = 0
     for n in nodes:
         lo, hi = start, start + n.value.shape[1]
         vjps.append((n, lambda g, lo=lo, hi=hi: g[:, lo:hi]))
         start = hi
-    return Node(nodes[0].tape, out, vjps)
+    return Node(nodes[0].tape, np.concatenate(values, axis=1), vjps,
+                redo=lambda out: np.concatenate(values, axis=1, out=out))
 
 
 def class_labels(labels, rows, classes):
@@ -577,9 +622,10 @@ def cross_entropy_node(logits, labels):
     """Mean cross entropy from logits via a stable log-softmax.
 
     `labels` holds one class index in [0, classes) per row; anything else
-    raises ValueError. The class-axis max and sum run on a column-major copy
-    of the logits, so each walks the batch in contiguous runs instead of one
-    short row at a time. The max is exact, and so is the sum below 8
+    raises ValueError. They are checked once, when the node is built; a
+    replay reuses them. The class-axis max and sum run on a column-major
+    copy of the logits, so each walks the batch in contiguous runs instead
+    of one short row at a time. The max is exact, and so is the sum below 8
     classes, where numpy adds a row left to right as the column-major walk
     does; from 8 classes on, the sum may differ from a row-major one in the
     last bits.
@@ -588,17 +634,27 @@ def cross_entropy_node(logits, labels):
     b, classes = z.shape
     labels = class_labels(labels, b, classes)
     rows = np.arange(b)
-    zs = np.asfortranarray(z)
-    zs = zs - zs.max(axis=1, keepdims=True)
-    logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
-    loss = -logp[rows, labels].mean()
-    residual = np.ascontiguousarray(np.exp(logp))  # softmax minus the one-hot labels
-    residual[rows, labels] -= 1.0
+
+    def evaluate():
+        """The loss and the softmax minus the one-hot labels."""
+        zs = np.asfortranarray(z)
+        zs = zs - zs.max(axis=1, keepdims=True)
+        logp = zs - np.log(np.exp(zs).sum(axis=1, keepdims=True))
+        residual = np.ascontiguousarray(np.exp(logp))
+        residual[rows, labels] -= 1.0
+        return -logp[rows, labels].mean(), residual
+
+    loss, residual = evaluate()
 
     def vjp(g):
         return float(np.asarray(g).reshape(-1)[0]) * residual / b
 
-    return Node(logits.tape, np.array([[loss]]), [(logits, vjp)])
+    def redo(out):
+        value, again = evaluate()
+        out.fill(value)
+        np.copyto(residual, again)
+
+    return Node(logits.tape, np.array([[loss]]), [(logits, vjp)], redo=redo)
 
 
 def mse_node(out, target):
@@ -606,68 +662,44 @@ def mse_node(out, target):
     one node. Value and gradient are bit-identical to
     `((out - target) * (out - target)).mean()`, whose two product VJPs each
     give the same array and so sum to twice it exactly."""
-    d = out.value - target
-    n = d.size
+    a = out.value
+    d = a - target
 
     def vjp(g):
-        return 2.0 * (np.full(d.shape, float(np.sum(g)) / n) * d)
+        return 2.0 * (np.full(d.shape, float(np.sum(g)) / d.size) * d)
 
-    return Node(out.tape, np.array([[(d * d).mean()]]), [(out, vjp)])
+    def redo(value):
+        np.subtract(a, target, out=d)
+        value.fill((d * d).mean())
 
-
-class Arena:
-    """Output buffers handed out again from one training epoch to the next.
-
-    `take` gives a float64 array of a shape: one from the free list when it
-    holds one, else a new one. `recycle` puts every array handed out since
-    the last call on the free list, so it may be called only once nothing
-    reads them: `train` calls it as each epoch starts, when the last
-    epoch's tape, loss and gradients are spent. Epochs repeat the same ops
-    on the same shapes, so from the second epoch on the arena allocates
-    nothing: the arrays are neither freed to the system allocator at the
-    end of an epoch nor page-faulted back in during the next one.
-    """
-
-    def __init__(self):
-        self.free = {}  # shape -> arrays that may be handed out
-        self.lent = []  # arrays handed out since the last recycle
-
-    def take(self, shape):
-        stack = self.free.get(shape)
-        buf = stack.pop() if stack else np.empty(shape)
-        self.lent.append(buf)
-        return buf
-
-    def recycle(self):
-        for buf in self.lent:
-            self.free.setdefault(buf.shape, []).append(buf)
-        self.lent = []
+    return Node(out.tape, np.array([[(d * d).mean()]]), [(out, vjp)], redo=redo)
 
 
 class Tape:
-    """Record of one forward pass; single-owner, replayed once backwards.
+    """Record of one forward pass; single-owner.
 
     Nodes point at their tape and the tape lists its nodes. `release` drops
     the list once the owner is done, so that a finished tape and the arrays
     its nodes hold are freed by reference counting, without waiting for the
-    cyclic collector: `backward` releases its tape, and a gradient-free
-    evaluation runs as `with Tape() as tape:`.
+    cyclic collector: `train` releases its tape in a `finally`,
+    `model_forward` once it has read the output, and a gradient-free
+    evaluation runs as `with Tape() as tape:`. A released tape refuses
+    `backward`.
 
-    A tape given an `Arena` writes the forward values of its dense ops
-    whose output needs a gradient (2-D `Node.matmul`, `+` and `-` of equal
-    shapes, and `scale`) into arena buffers, with numpy's `out=`. Those
-    values, and the views of them that `transpose` and `reshape` make, are
-    read only while the tape's epoch lasts: by later ops, by the VJPs in
-    `backward` and by the owner reading the output. A constant never takes
-    a buffer, so a value kept past the epoch (`train`'s memo) is never
-    overwritten, and neither is a gradient: `backward` allocates each one,
-    and the allocator hands back the chunks that spent gradients free.
+    `backward` may run more than once on one tape. Between two runs,
+    `replay` re-evaluates the recorded forward at the parameters' current
+    values: in node order it calls the `redo` of every node that needs a
+    gradient, which writes the new value into the array the node already
+    holds. Constants never replay, so a replay is right only while no
+    constant depends on a parameter. A `value_only` result is a constant
+    too, and it would go stale where its op read a gradient-carrying input;
+    `train` may replay its tape only because it refuses one whose `cuts`
+    are nonempty.
     """
 
-    def __init__(self, arena=None):
+    def __init__(self):
         self.nodes = []
         self.cuts = []  # ops that dropped a gradient (`value_only`); kept on release
-        self.arena = arena
 
     def __enter__(self):
         return self
@@ -694,6 +726,12 @@ class Tape:
     def lift(self, x):
         return x if isinstance(x, Node) else self.constant(x)
 
+    def replay(self):
+        """Recompute, in place, every value that depends on a parameter."""
+        for node in self.nodes:
+            if node.redo is not None:
+                node.redo(node.value)
+
     def backward(self, loss):
         if loss.value.size != 1:
             raise ValueError("loss must be scalar")
@@ -717,5 +755,4 @@ class Tape:
         for node in self.nodes:
             if node.is_param and node.nid in grads:
                 out[node.name if node.name is not None else node.nid] = grads[node.nid]
-        self.release()
         return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid_geometry as gg
-from .numeric_core import Node, Tape, concat_nodes, scaled_softmax
+from .numeric_core import Node, Tape, check_params, concat_nodes, scaled_softmax
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,17 @@ def polynomial_values(family, x, d, alpha=0.5):
 # wavelets
 
 
+# the params each mother wavelet reads
+_WAVELET_PARAMS = {"haar": (), "beta": ("alpha", "beta"), "ricker": ("sigma",), "shannon": (),
+                   "dog": ("sigma1", "sigma2"), "meyer": ()}
+
+
 def mother_wavelet(kind, tau, params=None):
-    p = dict(params or {})
+    """The mother wavelet at tau. A key of `params` that the kind does not
+    read raises ValueError."""
+    if kind not in _WAVELET_PARAMS:
+        raise ValueError("unknown wavelet kind %r" % kind)
+    p = check_params(params, _WAVELET_PARAMS[kind], "the %s wavelet" % kind)
     tau = np.asarray(tau, dtype=float)
     if kind == "haar":
         return np.where((tau >= 0) & (tau < 0.5), 1.0,
@@ -129,14 +138,13 @@ def mother_wavelet(kind, tau, params=None):
         g1 = np.exp(-tau ** 2 / (2 * s1 * s1)) / (s1 * np.sqrt(2 * np.pi))
         g2 = np.exp(-tau ** 2 / (2 * s2 * s2)) / (s2 * np.sqrt(2 * np.pi))
         return g1 - g2
-    if kind == "meyer":
-        out = np.full_like(tau, 2.0 / 3.0 + 4.0 / (3.0 * np.pi))
-        nz = tau != 0
-        t = tau[nz]
-        out[nz] = (np.sin(2 * np.pi / 3 * t) + 4.0 / 3.0 * t * np.cos(4 * np.pi / 3 * t)) \
-            / (np.pi * t - 16 * np.pi / 9 * t ** 3)
-        return out
-    raise ValueError("unknown wavelet kind %r" % kind)
+    # meyer
+    out = np.full_like(tau, 2.0 / 3.0 + 4.0 / (3.0 * np.pi))
+    nz = tau != 0
+    t = tau[nz]
+    out[nz] = (np.sin(2 * np.pi / 3 * t) + 4.0 / 3.0 * t * np.cos(4 * np.pi / 3 * t)) \
+        / (np.pi * t - 16 * np.pi / 9 * t ** 3)
+    return out
 
 
 def child_wavelet(kind, x, s, t, a=2.0, b=1.0, params=None):

@@ -272,6 +272,10 @@ def test_gen_data_random_graph_needs_a_class(tmp_path, capsys, classes):
     ({"loss": "bogus", "epochs": 0}, "unknown loss 'bogus'"),
     ({"epochs": -1}, "epochs must be >= 0, got -1"),
     ({"optimizer": {"kind": "bogus"}, "epochs": 0}, "unknown optimizer 'bogus'"),
+    ({"optimizer": {"kind": "sgd", "beta1": 0.5}, "epochs": 3},
+     "the sgd optimizer reads no 'beta1'"),
+    ({"optimizer": {"kind": "adaptive_moments", "momentum": 0.9}, "epochs": 3},
+     "the adaptive_moments optimizer reads no 'momentum'"),
 ])
 def test_train_checks_loss_optimizer_and_epochs_before_training(tmp_path, capsys,
                                                                 train, bad):

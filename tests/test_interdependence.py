@@ -103,6 +103,25 @@ def test_kernel_hyperparameter_validation():
         itd.numerical_kernel_matrix(x, "exponential", {"gamma": -1.0})
 
 
+@pytest.mark.parametrize("kind, params, unread", [
+    ("polynomial", {"degree": 5}, "'degree'"),  # once built the default d = 2
+    ("linear", {"c": 1.0}, "'c'"),
+    ("gaussian_rbf", {"sigma": 2.0, "gamma": 1.0}, "'gamma'"),
+    ("hybrid", {"k1": "linear", "k2": "polynomial", "k2_params": {"degree": 3}}, "'degree'"),
+])
+def test_a_kernel_refuses_a_param_its_kind_does_not_read(kind, params, unread):
+    with pytest.raises(ValueError, match="kernel reads no %s" % unread):
+        itd.numerical_kernel_matrix(np.eye(3), kind, params)
+    spec = itd.InterdependenceSpec(itd.NumKernel(kind, params), axis="instance")
+    with pytest.raises(ValueError, match="reads no %s" % unread):
+        itd.build_matrix(spec, np.eye(3))
+
+
+def test_an_unknown_kernel_is_named():
+    with pytest.raises(ValueError, match="unknown numerical kernel 'bogus'"):
+        itd.numerical_kernel_matrix(np.eye(3), "bogus", {"x": 1})
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6))
 def test_symmetric_kernels_symmetric(seed):

@@ -528,6 +528,25 @@ def test_mse_refuses_a_batch_target_for_rows_pooled_into_one():
     md.train(model, x, np.zeros((1, 2)), epochs=1)
 
 
+@pytest.mark.parametrize("optimizer, unread", [
+    ({"kind": "sgd", "learning_rate": 0.5}, "'learning_rate'"),
+    ({"lr": 0.5, "beta1": 0.9}, "'beta1'"),  # sgd is the default kind
+    ({"kind": "sgd", "eps": 1e-6, "beta2": 0.9}, "'beta2', 'eps'"),
+    ({"kind": "adaptive_moments", "momentum": 0.9}, "'momentum'"),
+])
+@pytest.mark.parametrize("epochs", [0, 2])
+def test_train_refuses_an_optimizer_key_its_kind_does_not_read(optimizer, unread, epochs):
+    # sgd read lr and momentum only, so a misspelt lr once trained at 0.01
+    model = _regression_head(2)
+    store = md.init_store(model, 0)
+    before = store.vector
+    kind = optimizer.get("kind", "sgd")
+    with pytest.raises(ValueError, match="the %s optimizer reads no %s" % (kind, unread)):
+        md.train(model, np.ones((5, 2)), np.zeros((5, 2)), optimizer=optimizer, epochs=epochs,
+                 store=store)
+    assert store.vector is before
+
+
 def test_mse_trains_chain_series_targets_as_before():
     # (b, m) targets go in as given: the loss is the mean of (out - y)^2,
     # built on the tape as it was before 1-D targets were read as columns

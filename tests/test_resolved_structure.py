@@ -283,17 +283,20 @@ def test_finished_tapes_die_without_the_cycle_collector(monkeypatch):
         md.model_forward(x, model, store)
         assert len(tapes) == 1 and tapes[0]() is None
         md.train(model, x, y, epochs=2, seed=0)
-        assert len(tapes) == 3 and all(t() is None for t in tapes)
+        # one tape per train call, released when the call returns
+        assert len(tapes) == 2 and all(t() is None for t in tapes)
     finally:
         if enabled:
             gc.enable()
 
 
-def test_backward_releases_its_tape():
+def test_a_released_tape_refuses_backward():
     tape = Tape()
     x = tape.parameter(np.arange(3.0), name="x")
     loss = (x * x).sum()
     assert np.array_equal(tape.backward(loss)["x"], 2 * np.arange(3.0))
+    assert np.array_equal(tape.backward(loss)["x"], 2 * np.arange(3.0))
+    tape.release()
     assert tape.nodes == []
     with pytest.raises(ValueError, match="released"):
         tape.backward(loss)

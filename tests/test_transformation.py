@@ -113,6 +113,21 @@ def test_beta_wavelet_validation():
         tf.mother_wavelet("beta", np.array([0.5]), {"alpha": 0.5, "beta": 2.0})
 
 
+@pytest.mark.parametrize("kind, params, unread", [
+    ("ricker", {"sigma": 1.0, "width": 2.0}, "'width'"),
+    ("haar", {"sigma": 1.0}, "'sigma'"),
+    ("dog", {"sigma": 1.0}, "'sigma'"),
+])
+def test_a_wavelet_refuses_a_param_its_kind_does_not_read(kind, params, unread):
+    with pytest.raises(ValueError, match="the %s wavelet reads no %s" % (kind, unread)):
+        tf.mother_wavelet(kind, np.array([0.5]), params)
+    spec = tf.ExpansionSpec("wavelet", wavelet=kind, wavelet_params=params)
+    with pytest.raises(ValueError, match="reads no %s" % unread):
+        tf.expand(np.ones((2, 3)), spec)
+    with pytest.raises(ValueError, match="unknown wavelet kind 'bogus'"):
+        tf.mother_wavelet("bogus", np.array([0.5]), params)
+
+
 def test_child_wavelet_scaling():
     x = np.array([0.6])
     got = tf.child_wavelet("haar", x, 1, 0, a=2.0, b=1.0)
